@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   const fed::Router::Stats& rs = router.stats();
   bool pass = accepted == 3 && listed == 3 && sorted && outage_ok &&
               deleted == 4 && f.shard_map().owner_of(batch_id) == 0u &&
-              f.shard_map().owner_of(debug_id) == 1u && rs.fanouts >= 2;
+              f.shard_map().owner_of(debug_id) == 1u && rs.fanouts.own() >= 2;
 
   telemetry::ScenarioReport report;
   report.set_meta("scenario", "fed_smoke");
@@ -123,10 +123,10 @@ int main(int argc, char** argv) {
   report.set("jstat_all_sorted", sorted ? 1 : 0);
   report.set("outage_submission_ok", outage_ok ? 1 : 0);
   report.set("mass_deleted", static_cast<double>(deleted));
-  report.set("router.routed", static_cast<double>(rs.routed));
-  report.set("router.fanouts", static_cast<double>(rs.fanouts));
-  report.set("router.fanout_reads", static_cast<double>(rs.fanout_reads));
-  report.set("router.rejects", static_cast<double>(rs.rejects));
+  report.set("router.routed", static_cast<double>(rs.routed.own()));
+  report.set("router.fanouts", static_cast<double>(rs.fanouts.own()));
+  report.set("router.fanout_reads", static_cast<double>(rs.fanout_reads.own()));
+  report.set("router.rejects", static_cast<double>(rs.rejects.own()));
   report.set("smoke_passed", pass ? 1 : 0);
   report.note_metrics(f.sim().telemetry().metrics());
   std::string report_path = prefix + ".report.json";

@@ -19,11 +19,11 @@ Router::Router(sim::Network& net, sim::HostId host, sim::Port first_port,
         net, host, static_cast<sim::Port>(first_port + s), std::move(cfg)));
   }
   telemetry::Registry& m = net.sim().telemetry().metrics();
-  m_routed_ = m.counter("fed.routed");
-  m_fanouts_ = m.counter("fed.fanouts");
-  m_fanout_reads_ = m.counter("fed.fanout_reads");
-  m_rejects_ = m.counter("fed.rejects");
-  m_mass_deleted_ = m.counter("fed.mass_deleted");
+  stats_.routed = m.counter("fed.routed");
+  stats_.fanouts = m.counter("fed.fanouts");
+  stats_.fanout_reads = m.counter("fed.fanout_reads");
+  stats_.rejects = m.counter("fed.rejects");
+  stats_.mass_deleted = m.counter("fed.mass_deleted");
 }
 
 Router::~Router() = default;
@@ -41,15 +41,13 @@ bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
   if (!owner.has_value()) {
     // No shard's id block contains this id, so no head anywhere could know
     // it: answer kUnknownJob locally rather than burning an ordered slot.
-    ++stats_.rejects;
-    m_rejects_.add(1);
+    stats_.rejects.add(1);
     Response resp;
     resp.status = pbs::Status::kUnknownJob;
     if (done) done(resp);
     return false;
   }
-  ++stats_.routed;
-  m_routed_.add(1);
+  stats_.routed.add(1);
   shard = *owner;
   return true;
 }
@@ -57,8 +55,7 @@ bool Router::route_by_id(pbs::JobId id, uint32_t& shard,
 void Router::jsub(pbs::JobSpec spec,
                   std::function<void(std::optional<pbs::SubmitResponse>)> done) {
   uint32_t shard = map_->place(spec.queue, next_salt_++);
-  ++stats_.routed;
-  m_routed_.add(1);
+  stats_.routed.add(1);
   clients_[shard]->jsub(std::move(spec), std::move(done));
 }
 
@@ -75,8 +72,7 @@ void Router::jstat(pbs::StatRequest req,
   // answer is a consistent totally-ordered snapshot of *its* jobs; the
   // merge is only as fresh as the slowest shard, which is the documented
   // cross-shard semantic.
-  ++stats_.fanouts;
-  m_fanouts_.add(1);
+  stats_.fanouts.add(1);
   uint32_t shards = map_->shard_count();
   struct Merge {
     std::vector<pbs::Job> jobs;
@@ -87,8 +83,7 @@ void Router::jstat(pbs::StatRequest req,
   auto merge = std::make_shared<Merge>();
   merge->pending = shards;
   for (uint32_t s = 0; s < shards; ++s) {
-    ++stats_.fanout_reads;
-    m_fanout_reads_.add(1);
+    stats_.fanout_reads.add(1);
     clients_[s]->jstat(
         req, [this, merge, done](std::optional<pbs::StatResponse> resp) {
           if (!resp.has_value()) {
@@ -169,14 +164,12 @@ void Router::jdel_all(std::function<void(std::optional<uint64_t>)> done) {
         if (--count->pending == 0 && done) done(count->deleted);
         continue;
       }
-      ++stats_.routed;
-      m_routed_.add(1);
+      stats_.routed.add(1);
       clients_[*owner]->jdel(
           job.id, [this, count, done](std::optional<pbs::SimpleResponse> r) {
             if (r.has_value() && r->status == pbs::Status::kOk) {
               ++count->deleted;
-              ++stats_.mass_deleted;
-              m_mass_deleted_.add(1);
+              stats_.mass_deleted.add(1);
             }
             if (--count->pending == 0 && done) done(count->deleted);
           });

@@ -38,16 +38,17 @@ GroupMember::GroupMember(sim::Network& net, sim::HostId host,
   }
   telemetry::Hub& hub = net.sim().telemetry();
   telemetry::Registry& m = hub.metrics();
-  m_data_sent_ = m.counter("gcs.data_sent");
-  m_data_received_ = m.counter("gcs.data_received");
-  m_nacks_sent_ = m.counter("gcs.nacks_sent");
-  m_retransmits_served_ = m.counter("gcs.retransmits_served");
-  m_delivered_ = m.counter("gcs.delivered");
-  m_views_installed_ = m.counter("gcs.views_installed");
-  m_cuts_sent_ = m.counter("gcs.cuts_sent");
-  m_engine_msgs_ = m.counter("gcs.engine_msgs_sent");
-  m_token_rotations_ = m.counter("gcs.token.rotations");
-  m_window_stalls_ = m.counter("gcs.window_stalls");
+  stats_.data_sent = m.counter("gcs.data_sent");
+  stats_.data_received = m.counter("gcs.data_received");
+  stats_.cuts_sent = m.counter("gcs.cuts_sent");
+  stats_.cuts_received = m.counter("gcs.cuts_received");
+  stats_.nacks_sent = m.counter("gcs.nacks_sent");
+  stats_.retransmits_served = m.counter("gcs.retransmits_served");
+  stats_.delivered = m.counter("gcs.delivered");
+  stats_.views_installed = m.counter("gcs.views_installed");
+  stats_.engine_sent = m.counter("gcs.engine_msgs_sent");
+  stats_.token_rotations = m.counter("gcs.token.rotations");
+  stats_.window_stalls = m.counter("gcs.window_stalls");
   m_pipeline_depth_ = m.gauge("gcs.pipeline_depth");
   m_order_latency_ = m.histogram("gcs.order_latency_us");
   m_token_hold_ = m.histogram("gcs.token.hold_us");
@@ -117,8 +118,7 @@ void GroupMember::multicast(sim::Payload payload, Delivery level) {
     // sends already wait behind it -- per-sender FIFO must hold). Queue
     // locally instead of growing every receiver's unordered backlog; the
     // window reopens as our own messages come back ordered.
-    ++stats_.window_stalls;
-    m_window_stalls_.add(1);
+    stats_.window_stalls.add(1);
     window_queue_.emplace_back(std::move(payload), level);
     return;
   }
@@ -139,8 +139,7 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
   retain(msg);
   buffer_.insert(msg);
   buffer_.observe(id(), lamport_, my_seq_, buffer_.received_vector());
-  ++stats_.data_sent;
-  m_data_sent_.add(1);
+  stats_.data_sent.add(1);
   order_inflight_[msg.id.seq & 63] = {msg.id.seq, sim().now().us};
   apply_engine(engine_->on_local_send(msg, sim().now().us));
 
@@ -266,8 +265,7 @@ void GroupMember::note_alive(MemberId peer) {
 
 void GroupMember::handle_data(DataWire m) {
   if (!is_member() || !view_.contains(m.header.from)) return;
-  ++stats_.data_received;
-  m_data_received_.add(1);
+  stats_.data_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.msg.lamport);
   buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
@@ -292,7 +290,7 @@ void GroupMember::handle_cut(CutWire m) {
     note_alive(m.header.from);
     return;
   }
-  ++stats_.cuts_received;
+  stats_.cuts_received.add(1);
   note_alive(m.header.from);
   tick_lamport(m.header.lamport);
   buffer_.observe(m.header.from, m.header.lamport, m.header.sent_upto,
@@ -310,8 +308,7 @@ void GroupMember::handle_nack(NackWire m) {
     if (it != retained_.end()) reply.msgs.push_back(it->second);
   }
   if (reply.msgs.empty()) return;
-  ++stats_.retransmits_served;
-  m_retransmits_served_.add(1);
+  stats_.retransmits_served.add(1);
   reply.header = make_header();
   sim::Payload buf = encode(reply);
   sim::Endpoint dst{m.header.from, config_.port};
@@ -341,8 +338,7 @@ void GroupMember::deliver_ready() {
 }
 
 void GroupMember::deliver_to_app(const DataMsg& m) {
-  ++stats_.delivered;
-  m_delivered_.add(1);
+  stats_.delivered.add(1);
   m_scope_delivered_.add(1);
   if (m.id.sender == id()) {
     // Multicast -> own ordered delivery latency (the paper's "latency of
@@ -385,15 +381,13 @@ void GroupMember::apply_engine(EngineOut out) {
   if (out.token_hold_us >= 0) m_token_hold_.record(out.token_hold_us);
   for (uint32_t n : out.batch_sizes) m_batch_size_.record(n);
   for (sim::Payload& body : out.broadcasts) {
-    ++stats_.engine_sent;
-    m_engine_msgs_.add(1);
+    stats_.engine_sent.add(1);
     EngineWire w{make_header(), std::move(body)};
     cast_to_members(encode(w));
   }
   if (out.unicast) {
-    ++stats_.engine_sent;
-    m_engine_msgs_.add(1);
-    if (out.token_forward) m_token_rotations_.add(1);
+    stats_.engine_sent.add(1);
+    if (out.token_forward) stats_.token_rotations.add(1);
     EngineWire w{make_header(), std::move(out.unicast->second)};
     send(sim::Endpoint{out.unicast->first, config_.port}, encode(w));
   }
@@ -441,8 +435,7 @@ void GroupMember::send_cut(bool periodic) {
     // everything heard so far -- the batching counter restarts.
     unacked_data_ = 0;
     CutWire m{make_header(), true};
-    ++stats_.cuts_sent;
-    m_cuts_sent_.add(1);
+    stats_.cuts_sent.add(1);
     cast_to_members(encode(m));
     return;
   }
@@ -453,8 +446,7 @@ void GroupMember::send_cut(bool periodic) {
     unacked_data_ = 0;
     if (!is_member() || view_.size() <= 1) return;
     CutWire m{make_header(), false};
-    ++stats_.cuts_sent;
-    m_cuts_sent_.add(1);
+    stats_.cuts_sent.add(1);
     cast_to_members(encode(m));
   });
 }
@@ -489,8 +481,7 @@ void GroupMember::check_gaps() {
       for (const MsgId& gap : ids)
         if (buffer_.received_upto(gap.sender) < gap.seq) m.missing.push_back(gap);
       if (m.missing.empty()) return;
-      ++stats_.nacks_sent;
-      m_nacks_sent_.add(1);
+      stats_.nacks_sent.add(1);
       m.header = make_header();
       send(sim::Endpoint{sender, config_.port}, encode(m));
     });
@@ -826,8 +817,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   // Start the engine's new-view epoch (token mode: the lowest member mints
   // the view's token) now that stream positions are settled.
   apply_engine(engine_->reset(view_, id(), now.us));
-  ++stats_.views_installed;
-  m_views_installed_.add(1);
+  stats_.views_installed.add(1);
   telemetry::TraceBuffer& tr = sim().telemetry().trace();
   if (flush_started_us_ >= 0) {
     tr.complete(flush_started_us_, now.us, host_id(), tc_flush_,

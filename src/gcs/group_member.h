@@ -148,17 +148,19 @@ class GroupMember : public sim::Process {
   const OrderingEngine& engine() const { return *engine_; }
 
   // -- statistics ------------------------------------------------------------
+  /// "gcs.*" counters, registered in the ctor; own() is this member's count.
   struct Stats {
-    uint64_t data_sent = 0;
-    uint64_t data_received = 0;
-    uint64_t cuts_sent = 0;
-    uint64_t cuts_received = 0;
-    uint64_t nacks_sent = 0;
-    uint64_t retransmits_served = 0;
-    uint64_t delivered = 0;
-    uint64_t views_installed = 0;
-    uint64_t engine_sent = 0;  ///< ordering-engine control messages sent
-    uint64_t window_stalls = 0;  ///< sends queued at the flow-control window
+    telemetry::Counter data_sent;
+    telemetry::Counter data_received;
+    telemetry::Counter cuts_sent;
+    telemetry::Counter cuts_received;
+    telemetry::Counter nacks_sent;
+    telemetry::Counter retransmits_served;
+    telemetry::Counter delivered;
+    telemetry::Counter views_installed;
+    telemetry::Counter engine_sent;  ///< ordering-engine control messages sent
+    telemetry::Counter token_rotations;  ///< token hand-offs forwarded
+    telemetry::Counter window_stalls;  ///< sends queued at the send window
   };
   const Stats& stats() const { return stats_; }
   /// Own AGREED/SAFE multicasts currently in flight (flow-control debt).
@@ -276,18 +278,8 @@ class GroupMember : public sim::Process {
   bool cut_scheduled_ = false;
   Stats stats_;
 
-  // Telemetry (registry cells shared by all members in one simulation;
-  // registered in the ctor body, updated next to the stats_ increments).
-  telemetry::Counter m_data_sent_;
-  telemetry::Counter m_data_received_;
-  telemetry::Counter m_nacks_sent_;
-  telemetry::Counter m_retransmits_served_;
-  telemetry::Counter m_delivered_;
-  telemetry::Counter m_views_installed_;
-  telemetry::Counter m_cuts_sent_;
-  telemetry::Counter m_engine_msgs_;
-  telemetry::Counter m_token_rotations_;
-  telemetry::Counter m_window_stalls_;
+  // Telemetry beyond stats_ (registry cells shared by all members in one
+  // simulation; registered in the ctor body).
   telemetry::Gauge m_pipeline_depth_;
   telemetry::Histogram m_order_latency_;
   telemetry::Histogram m_token_hold_;

@@ -112,20 +112,24 @@ Server::Server(sim::Network& net, sim::HostId host, JoshuaConfig config,
   }
   telemetry::Hub& hub = net.sim().telemetry();
   telemetry::Registry& m = hub.metrics();
-  m_commands_intercepted_ = m.counter("joshua.commands_intercepted");
-  m_commands_executed_ = m.counter("joshua.commands_executed");
-  m_replays_applied_ = m.counter("joshua.replays_applied");
-  m_mutex_grants_ = m.counter("joshua.mutex_grants");
-  m_mutex_denials_ = m.counter("joshua.mutex_denials");
-  m_mutex_revokes_ = m.counter("joshua.mutex_revokes");
-  m_dup_done_suppressed_ = m.counter("joshua.dup_completions_suppressed");
-  m_ordered_completions_ = m.counter("joshua.ordered_completions");
-  m_preempts_ordered_ = m.counter("joshua.preempts_ordered");
-  m_reports_rejected_ = m.counter("joshua.reports_rejected");
-  m_replay_divergence_ =
+  stats_.commands_intercepted = m.counter("joshua.commands_intercepted");
+  stats_.commands_executed = m.counter("joshua.commands_executed");
+  stats_.replies_relayed = m.counter("joshua.replies_relayed");
+  stats_.mutex_requests = m.counter("joshua.mutex_requests");
+  stats_.mutex_grants = m.counter("joshua.mutex_grants");
+  stats_.mutex_denials = m.counter("joshua.mutex_denials");
+  stats_.mutex_revokes = m.counter("joshua.mutex_revokes");
+  stats_.dup_completions_suppressed =
+      m.counter("joshua.dup_completions_suppressed");
+  stats_.ordered_completions = m.counter("joshua.ordered_completions");
+  stats_.preempts_ordered = m.counter("joshua.preempts_ordered");
+  stats_.state_transfers_served = m.counter("joshua.state_transfers_served");
+  stats_.replays_applied = m.counter("joshua.replays_applied");
+  stats_.replay_divergence =
       m.counter("joshua.replay_divergence." + net.host(host).name());
-  m_jstat_local_ = m.counter("pbs.jstat_local");
-  m_shard_rejects_ = m.counter("joshua.shard_rejects");
+  stats_.reports_rejected = m.counter("joshua.reports_rejected");
+  stats_.jstat_local_served = m.counter("pbs.jstat_local");
+  stats_.shard_rejects = m.counter("joshua.shard_rejects");
   m_intercept_latency_ = m.histogram("joshua.intercept_to_reply_us");
   m_jstat_local_latency_ = m.histogram("joshua.jstat_local_us");
   m_jmutex_wait_ = m.histogram("joshua.jmutex_wait_us");
@@ -236,8 +240,7 @@ void Server::handle_client_command(sim::Payload request, sim::Endpoint from,
       return;
     }
     if (target != pbs::kInvalidJob && !config_.shard.owns(target)) {
-      ++stats_.shard_rejects;
-      m_shard_rejects_.add(1);
+      stats_.shard_rejects.add(1);
       reject(pbs::Status::kUnknownJob);
       return;
     }
@@ -253,8 +256,7 @@ void Server::handle_client_command(sim::Payload request, sim::Endpoint from,
   // the replay drains) stays authoritative.
   if (op == pbs::Op::kStat && config_.jstat_local && local_pbs_ != nullptr &&
       !replaying_) {
-    ++stats_.jstat_local_served;
-    m_jstat_local_.add(1);
+    stats_.jstat_local_served.add(1);
     sim::Time intercepted = sim().now();
     net::CallOptions options;
     options.timeout = config_.local_rpc_timeout;
@@ -275,8 +277,7 @@ void Server::handle_client_command(sim::Payload request, sim::Endpoint from,
          options);
     return;
   }
-  ++stats_.commands_intercepted;
-  m_commands_intercepted_.add(1);
+  stats_.commands_intercepted.add(1);
   GroupCommand cmd;
   cmd.origin = group_.id();
   cmd.cmd_seq = next_cmd_seq_++;
@@ -326,8 +327,7 @@ void Server::on_deliver(const gcs::Delivered& msg) {
 }
 
 void Server::apply_group_command(GroupCommand cmd) {
-  ++stats_.commands_executed;
-  m_commands_executed_.add(1);
+  stats_.commands_executed.add(1);
   log_command(cmd);
   execute(config_.exec_proc, [this, cmd = std::move(cmd)] {
     net::CallOptions options;
@@ -353,7 +353,7 @@ void Server::finish_local_apply(const GroupCommand& cmd,
             error_response(reply.op, pbs::Status::kInternal));
     return;
   }
-  ++stats_.replies_relayed;
+  stats_.replies_relayed.add(1);
   execute(config_.relay_proc,
           [this, reply, seq = cmd.cmd_seq, resp = std::move(*response)] {
             // The paper's client-visible latency: command intercepted here,
@@ -464,7 +464,7 @@ sim::Payload Server::export_mutex_table() const {
 }
 
 sim::Payload Server::get_state() {
-  ++stats_.state_transfers_served;
+  stats_.state_transfers_served.add(1);
   if (config_.transfer == TransferMode::kSnapshot) {
     return wrap_transfer(TransferKind::kSnapshot, local_pbs_->dump_state_blob(),
                          export_mutex_table());
@@ -626,10 +626,9 @@ void Server::replay_next() {
   pseudo.origin = sim::kInvalidHost;  // nobody awaits a reply
   pseudo.pbs_request = request;
   log_command(pseudo);
-  ++stats_.replays_applied;
-  m_replays_applied_.add(1);
+  stats_.replays_applied.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_replay_,
-                                    stats_.replays_applied,
+                                    stats_.replays_applied.own(),
                                     replay_queue_.size());
   net::CallOptions options;
   options.timeout = config_.local_rpc_timeout;
@@ -637,7 +636,7 @@ void Server::replay_next() {
        [this, pseudo](std::optional<sim::Payload> response) {
          if (!response.has_value() ||
              !replay_response_ok(pseudo.pbs_request, *response)) {
-           m_replay_divergence_.add(1);
+           stats_.replay_divergence.add(1);
            JLOG(kWarn, "joshua")
                << name() << ": replayed command produced a divergent response";
          }
@@ -675,13 +674,12 @@ bool Server::mutex_answerable(const MutexState& state, sim::HostId mom) {
 
 void Server::handle_jmutex(const JMutexRequest& req, sim::Endpoint from,
                            uint64_t rpc_id) {
-  ++stats_.mutex_requests;
+  stats_.mutex_requests.add(1);
   if (!group_.is_member()) return;  // no answer; the plugin rotates heads
   auto it = mutexes_.find(req.job);
   if (it != mutexes_.end() && mutex_answerable(it->second, req.mom)) {
     bool won = mutex_winner(it->second, req.mom, req.head);
-    (won ? stats_.mutex_grants : stats_.mutex_denials)++;
-    (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
+    (won ? stats_.mutex_grants : stats_.mutex_denials).add(1);
     if (won) m_jmutex_wait_.record(0);  // arbitration already settled
     respond(from, rpc_id, encode_jmutex_response(JMutexResponse{won}));
     return;
@@ -733,8 +731,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   if (state.done) {
     // A losing replica that really ran (it won a slot) also sends jdone;
     // only the first one in total order decides the job.
-    ++stats_.dup_completions_suppressed;
-    m_dup_done_suppressed_.add(1);
+    stats_.dup_completions_suppressed.add(1);
     return;
   }
   state.done = true;
@@ -751,8 +748,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
   // behind a command (routine once ack cuts coalesce) cannot overtake its
   // apply at the colocated PBS.
   if (local_pbs_ != nullptr) {
-    ++stats_.ordered_completions;
-    m_ordered_completions_.add(1);
+    stats_.ordered_completions.add(1);
     execute(config_.exec_proc, [this, done] {
       pbs::JobReport report;
       report.job_id = done.job;
@@ -769,8 +765,7 @@ void Server::apply_mutex_done(const GroupMutexDone& done) {
 }
 
 void Server::apply_mutex_revoke(const GroupMutexRevoke& rev) {
-  ++stats_.mutex_revokes;
-  m_mutex_revokes_.add(1);
+  stats_.mutex_revokes.add(1);
   revoked_moms_.insert(rev.mom);
   size_t released = 0;
   for (auto& [job, state] : mutexes_) {
@@ -812,8 +807,7 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
   // the relaunch's fresh claims actually go out.
   auto [begin, end] = mutex_waiters_.equal_range(pre.job);
   for (auto w = begin; w != end; ++w) {
-    ++stats_.mutex_denials;
-    m_mutex_denials_.add(1);
+    stats_.mutex_denials.add(1);
     respond(w->second.from, w->second.rpc_id,
             encode_jmutex_response(JMutexResponse{false}));
   }
@@ -825,8 +819,7 @@ void Server::apply_group_preempt(const GroupPreempt& pre) {
     else
       ++it;
   }
-  ++stats_.preempts_ordered;
-  m_preempts_ordered_.add(1);
+  stats_.preempts_ordered.add(1);
   // Inject the requeue into the local PBS through the same exec_proc stage
   // as ordered commands, so it cannot overtake an in-flight apply.
   if (local_pbs_ != nullptr) {
@@ -853,8 +846,7 @@ void Server::answer_mutex_waiters(pbs::JobId job) {
       continue;
     }
     bool won = mutex_winner(state, w->second.mom, w->second.head);
-    (won ? stats_.mutex_grants : stats_.mutex_denials)++;
-    (won ? m_mutex_grants_ : m_mutex_denials_).add(1);
+    (won ? stats_.mutex_grants : stats_.mutex_denials).add(1);
     if (won) m_jmutex_wait_.record((sim().now() - w->second.asked).us);
     respond(w->second.from, w->second.rpc_id,
             encode_jmutex_response(JMutexResponse{won}));
@@ -877,11 +869,11 @@ bool Server::filter_report(const pbs::JobReport& report) {
     // The winner is not decided yet; the ordered MutexDone will complete
     // the job when it is. Dropping the report is safe - completion no
     // longer depends on it.
-    m_reports_rejected_.add(1);
+    stats_.reports_rejected.add(1);
     return false;
   }
   if (state.winner_mom == report.mom_host) return true;
-  m_reports_rejected_.add(1);
+  stats_.reports_rejected.add(1);
   return false;
 }
 

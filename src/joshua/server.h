@@ -106,21 +106,29 @@ class Server : public net::RpcNode {
   gcs::GroupMember& group() { return group_; }
   const JoshuaConfig& config() const { return config_; }
 
+  /// "joshua.*" counters, registered in the ctor; own() is this head's count.
   struct Stats {
-    uint64_t commands_intercepted = 0;
-    uint64_t commands_executed = 0;
-    uint64_t replies_relayed = 0;
-    uint64_t mutex_requests = 0;
-    uint64_t mutex_grants = 0;   ///< jmutex answered "won"
-    uint64_t mutex_denials = 0;  ///< jmutex answered "lost"
-    uint64_t mutex_revokes = 0;  ///< ordered compute-node revocations applied
-    uint64_t dup_completions_suppressed = 0;  ///< extra MutexDones ignored
-    uint64_t ordered_completions = 0;  ///< completions applied from MutexDone
-    uint64_t preempts_ordered = 0;     ///< ordered preemptions applied
-    uint64_t state_transfers_served = 0;
-    uint64_t replays_applied = 0;
-    uint64_t jstat_local_served = 0;  ///< stats answered off the local replica
-    uint64_t shard_rejects = 0;       ///< commands naming out-of-shard ids
+    telemetry::Counter commands_intercepted;
+    telemetry::Counter commands_executed;
+    telemetry::Counter replies_relayed;
+    telemetry::Counter mutex_requests;
+    telemetry::Counter mutex_grants;   ///< jmutex answered "won"
+    telemetry::Counter mutex_denials;  ///< jmutex answered "lost"
+    telemetry::Counter mutex_revokes;  ///< ordered node revocations applied
+    telemetry::Counter dup_completions_suppressed;  ///< extra MutexDones
+    telemetry::Counter ordered_completions;  ///< applied from MutexDone
+    telemetry::Counter preempts_ordered;     ///< ordered preemptions applied
+    telemetry::Counter state_transfers_served;
+    telemetry::Counter replays_applied;
+    /// "joshua.replay_divergence.<host>": replayed commands whose local PBS
+    /// response disagreed with what the replayed log implies. Any nonzero
+    /// value means this head's rebuilt state drifted from the group.
+    telemetry::Counter replay_divergence;
+    telemetry::Counter reports_rejected;  ///< mom reports filtered out
+    /// "pbs.jstat_local": stat queries served from the local replica, the
+    /// read path that never pays for total order.
+    telemetry::Counter jstat_local_served;
+    telemetry::Counter shard_rejects;  ///< commands naming out-of-shard ids
   };
   const Stats& stats() const { return stats_; }
 
@@ -235,26 +243,7 @@ class Server : public net::RpcNode {
 
   Stats stats_;
 
-  // Telemetry ("joshua.*" metrics; registered in the ctor body).
-  telemetry::Counter m_commands_intercepted_;
-  telemetry::Counter m_commands_executed_;
-  telemetry::Counter m_replays_applied_;
-  telemetry::Counter m_mutex_grants_;
-  telemetry::Counter m_mutex_denials_;
-  telemetry::Counter m_mutex_revokes_;
-  telemetry::Counter m_dup_done_suppressed_;
-  telemetry::Counter m_ordered_completions_;
-  telemetry::Counter m_preempts_ordered_;
-  telemetry::Counter m_reports_rejected_;
-  /// Per-head ("joshua.replay_divergence.<host>"): replayed commands whose
-  /// local PBS response disagreed with what the replayed log implies. Any
-  /// nonzero value means this head's rebuilt state drifted from the group.
-  telemetry::Counter m_replay_divergence_;
-  /// "pbs.jstat_local": stat queries served from the local replica, the
-  /// read path that never pays for total order (ROADMAP "millions of
-  /// users" axis). "joshua.shard_rejects": out-of-shard ids turned away.
-  telemetry::Counter m_jstat_local_;
-  telemetry::Counter m_shard_rejects_;
+  // Telemetry beyond stats_ ("joshua.*" histograms; registered in the ctor).
   telemetry::Histogram m_intercept_latency_;  ///< intercept -> client reply
   telemetry::Histogram m_jstat_local_latency_;  ///< local-read intercept->reply
   telemetry::Histogram m_jmutex_wait_;        ///< jmutex arrival -> grant

@@ -343,7 +343,6 @@ void Server::apply_preempt(JobId id) {
   job.exec_host = sim::kInvalidHost;
   job.replica_hosts.clear();
   ++preempt_counts_[id];
-  ++preempts_applied_;
   m_preemptions_.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_preempt_,
                                     job.id, 0);

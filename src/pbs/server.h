@@ -117,7 +117,8 @@ class Server : public net::RpcNode {
   /// Times `id` was preempted on this server (harness: each preemption
   /// legitimately re-runs the job, so exactly-r audits excuse r more runs).
   uint32_t preempt_count(JobId id) const;
-  uint64_t preempts_applied() const { return preempts_applied_; }
+  /// Preemptions applied on this server ("pbs.sched.preemptions" share).
+  uint64_t preempts_applied() const { return m_preemptions_.own(); }
 
   /// Declare a compute node dead: mark it down, drop its replicas from
   /// running jobs, and requeue jobs left without a live replica. Idempotent.
@@ -238,7 +239,6 @@ class Server : public net::RpcNode {
   /// re-emits the same victim every cycle until the requeue applies).
   std::set<JobId> preempt_inflight_;
   std::map<JobId, uint32_t> preempt_counts_;
-  uint64_t preempts_applied_ = 0;
 
   // Telemetry ("pbs.*" metrics; registered in the ctor body).
   telemetry::Counter m_jobs_queued_;

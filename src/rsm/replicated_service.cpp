@@ -51,10 +51,10 @@ ReplicaNode::ReplicaNode(sim::Network& net, sim::HostId host,
   if (service_ == nullptr)
     throw std::invalid_argument("ReplicaNode: null service");
   telemetry::Hub& hub = net.sim().telemetry();
-  m_requests_ = hub.metrics().counter("rsm.requests");
-  m_applied_ = hub.metrics().counter("rsm.applied");
-  m_local_reads_ = hub.metrics().counter("rsm.local_reads");
-  m_replies_ = hub.metrics().counter("rsm.replies");
+  stats_.requests = hub.metrics().counter("rsm.requests");
+  stats_.applied = hub.metrics().counter("rsm.applied");
+  stats_.local_reads = hub.metrics().counter("rsm.local_reads");
+  stats_.replies = hub.metrics().counter("rsm.replies");
   m_order_latency_ = hub.metrics().histogram("rsm.order_latency_us");
   tc_order_ = hub.trace().intern("rsm.order");
 }
@@ -68,18 +68,15 @@ void ReplicaNode::shutdown() {
 
 void ReplicaNode::on_request(sim::Payload request, sim::Endpoint from,
                              uint64_t rpc_id) {
-  ++stats_.requests;
-  m_requests_.add(1);
+  stats_.requests.add(1);
   execute(config_.request_proc, [this, request = std::move(request), from,
                                  rpc_id] {
     if (!group_.is_member()) return;  // client fails over
     if (config_.read_local && service_->is_read_only(request)) {
-      ++stats_.local_reads;
-      m_local_reads_.add(1);
+      stats_.local_reads.add(1);
       execute(service_->apply_cost(request), [this, request, from, rpc_id] {
         sim::Payload response = service_->apply(request);
-        ++stats_.replies;
-        m_replies_.add(1);
+        stats_.replies.add(1);
         respond(from, rpc_id, std::move(response));
       });
       return;
@@ -102,8 +99,7 @@ void ReplicaNode::on_deliver(const gcs::Delivered& msg) {
   execute(service_->apply_cost(ordered.request),
           [this, ordered = std::move(ordered)] {
             sim::Payload response = service_->apply(ordered.request);
-            ++stats_.applied;
-            m_applied_.add(1);
+            stats_.applied.add(1);
             if (ordered.origin != group_.id()) return;
             auto it = pending_.find(ordered.seq);
             if (it == pending_.end()) return;
@@ -115,8 +111,7 @@ void ReplicaNode::on_deliver(const gcs::Delivered& msg) {
             sim().telemetry().trace().complete(p.ordered_at_us, sim().now().us,
                                                host_id(), tc_order_,
                                                ordered.seq);
-            ++stats_.replies;
-            m_replies_.add(1);
+            stats_.replies.add(1);
             respond(p.client, p.rpc_id, std::move(response));
           });
 }

@@ -78,11 +78,12 @@ class ReplicaNode : public net::RpcNode {
   const gcs::GroupMember& group() const { return group_; }
   gcs::GroupMember& group() { return group_; }
 
+  /// "rsm.*" counters, registered in the ctor; own() is this replica's count.
   struct Stats {
-    uint64_t requests = 0;
-    uint64_t applied = 0;
-    uint64_t local_reads = 0;
-    uint64_t replies = 0;
+    telemetry::Counter requests;
+    telemetry::Counter applied;
+    telemetry::Counter local_reads;
+    telemetry::Counter replies;
   };
   const Stats& stats() const { return stats_; }
 
@@ -108,10 +109,6 @@ class ReplicaNode : public net::RpcNode {
   };
   std::map<uint64_t, Pending> pending_;
   Stats stats_;
-  telemetry::Counter m_requests_;
-  telemetry::Counter m_applied_;
-  telemetry::Counter m_local_reads_;
-  telemetry::Counter m_replies_;
   telemetry::Histogram m_order_latency_;
   uint16_t tc_order_ = 0;
 };

@@ -8,9 +8,11 @@
 // the event-core's zero-alloc discipline).
 //
 // The registry aggregates across every process in one simulation: a
-// counter named "gcs.data_sent" sums over all group members. Per-instance
-// breakdowns use per-instance names (e.g. "joshua.replay_divergence.head0");
-// per-host timelines live in the structured trace (telemetry/trace.h).
+// counter named "gcs.data_sent" sums over all group members, while each
+// member's handle reads its own share through Counter::own(). Per-instance
+// breakdowns that reports must show use per-instance names (e.g.
+// "joshua.replay_divergence.head0"); per-host timelines live in the
+// structured trace (telemetry/trace.h).
 #pragma once
 
 #include <array>
@@ -55,20 +57,30 @@ struct HistogramData {
   double percentile(double p) const;
 };
 
-/// Monotonically increasing counter. A default-constructed handle is a
-/// safe no-op sink.
+/// Monotonically increasing counter. One add() updates two tallies: the
+/// registry cell shared by every handle registered under the same name
+/// (value()) and this handle's own (own()), so a component keeps exactly
+/// one counter per event and still reads its per-instance count. Adds made
+/// through a copy do not reach the original's own(), so an instance counts
+/// through one handle.
+/// A default-constructed handle has no registry cell: value() stays 0.
 class Counter {
  public:
   Counter() = default;
   void add(uint64_t d = 1) {
+    own_ += d;
     if (cell_ != nullptr) *cell_ += d;
   }
+  /// Registry-wide total under this handle's name.
   uint64_t value() const { return cell_ == nullptr ? 0 : *cell_; }
+  /// Adds made through this handle alone.
+  uint64_t own() const { return own_; }
 
  private:
   friend class Registry;
   explicit Counter(uint64_t* cell) : cell_(cell) {}
   uint64_t* cell_ = nullptr;
+  uint64_t own_ = 0;
 };
 
 /// Last-value gauge (signed).

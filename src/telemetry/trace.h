@@ -1,7 +1,6 @@
 // Structured trace layer: compact fixed-size records in a growable ring.
 //
-// This supersedes the string-concatenating sim::Trace for hot paths: a
-// record is (timestamp, host, interned category id, phase, two integer
+// A record is (timestamp, host, interned category id, phase, two integer
 // args) -- no strings are built at record time, and once the ring reaches
 // its capacity the record path performs zero heap allocations (older
 // records are overwritten, newest-wins, like a flight recorder).

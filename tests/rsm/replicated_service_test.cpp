@@ -162,7 +162,7 @@ TEST(ReplicatedMetadata, ReadLocalModeServesWithoutOrdering) {
   ASSERT_TRUE(h.run_until_converged(3));
   ASSERT_EQ(h.call(mkdir_req("d")).status, pvfs::MdStatus::kOk);
   uint64_t applied_before = 0;
-  for (auto& r : h.replicas) applied_before += r->stats().applied;
+  for (auto& r : h.replicas) applied_before += r->stats().applied.own();
   pvfs::MdRequest look;
   look.op = pvfs::MdOp::kLookup;
   look.dir = pvfs::kRootHandle;
@@ -170,8 +170,8 @@ TEST(ReplicatedMetadata, ReadLocalModeServesWithoutOrdering) {
   ASSERT_EQ(h.call(look).status, pvfs::MdStatus::kOk);
   uint64_t applied_after = 0, local_reads = 0;
   for (auto& r : h.replicas) {
-    applied_after += r->stats().applied;
-    local_reads += r->stats().local_reads;
+    applied_after += r->stats().applied.own();
+    local_reads += r->stats().local_reads.own();
   }
   EXPECT_EQ(applied_after, applied_before)
       << "the read bypassed the total order";

@@ -37,6 +37,24 @@ TEST(Registry, DefaultHandlesAreSafeNoOps) {
   EXPECT_EQ(h.data(), nullptr);
 }
 
+TEST(Registry, OwnCountsOnlyThisHandlesAdds) {
+  Registry reg;
+  Counter a = reg.counter("shared");
+  Counter b = reg.counter("shared");
+  a.add(3);
+  b.add(5);
+  a.add(1);
+  EXPECT_EQ(a.own(), 4u);
+  EXPECT_EQ(b.own(), 5u);
+  b.add(2);
+  EXPECT_EQ(a.own(), 4u);
+  EXPECT_EQ(b.own(), 7u);
+  EXPECT_EQ(a.value(), 11u);
+  EXPECT_EQ(b.value(), 11u);
+  ASSERT_NE(reg.find_counter("shared"), nullptr);
+  EXPECT_EQ(reg.find_counter("shared")->value, a.own() + b.own());
+}
+
 TEST(Registry, GaugeSetAndAdd) {
   Registry reg;
   Gauge g = reg.gauge("depth");
