@@ -1,6 +1,7 @@
 #include "fed/router.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/calibration.h"
 #include "sim/network.h"
@@ -75,38 +76,45 @@ void Router::jstat(pbs::StatRequest req,
   stats_.fanouts.add(1);
   uint32_t shards = map_->shard_count();
   struct Merge {
-    std::vector<pbs::Job> jobs;
+    std::vector<std::vector<pbs::Job>> parts;  ///< one listing per shard
     pbs::Status status = pbs::Status::kOk;
     uint32_t pending = 0;
     bool failed = false;
   };
   auto merge = std::make_shared<Merge>();
+  merge->parts.resize(shards);
   merge->pending = shards;
   for (uint32_t s = 0; s < shards; ++s) {
     stats_.fanout_reads.add(1);
     clients_[s]->jstat(
-        req, [this, merge, done](std::optional<pbs::StatResponse> resp) {
+        req, [this, merge, s, done](std::optional<pbs::StatResponse> resp) {
           if (!resp.has_value()) {
             merge->failed = true;
           } else {
             if (resp->status != pbs::Status::kOk &&
                 merge->status == pbs::Status::kOk)
               merge->status = resp->status;
-            merge->jobs.insert(merge->jobs.end(), resp->jobs.begin(),
-                               resp->jobs.end());
+            merge->parts[s] = std::move(resp->jobs);
           }
           if (--merge->pending > 0) return;
           if (merge->failed) {
             if (done) done(std::nullopt);
             return;
           }
-          std::sort(merge->jobs.begin(), merge->jobs.end(),
+          pbs::StatResponse out;
+          out.status = merge->status;
+          size_t total = 0;
+          for (const auto& part : merge->parts) total += part.size();
+          out.jobs.reserve(total);
+          for (auto& part : merge->parts)
+            out.jobs.insert(out.jobs.end(),
+                            std::make_move_iterator(part.begin()),
+                            std::make_move_iterator(part.end()));
+          merge->parts.clear();
+          std::sort(out.jobs.begin(), out.jobs.end(),
                     [](const pbs::Job& a, const pbs::Job& b) {
                       return a.id < b.id;
                     });
-          pbs::StatResponse out;
-          out.status = merge->status;
-          out.jobs = std::move(merge->jobs);
           if (done) done(std::move(out));
         });
   }

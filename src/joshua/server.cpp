@@ -608,6 +608,7 @@ void Server::install_state(const sim::Payload& state) {
   JLOG(kInfo, "joshua") << name() << ": replaying " << replay_queue_.size()
                         << " commands";
   replaying_ = true;
+  if (local_pbs_ != nullptr) local_pbs_->pause_scheduling(true);
   replay_next();
 }
 
@@ -617,6 +618,7 @@ void Server::replay_next() {
     auto held = std::move(held_commands_);
     held_commands_.clear();
     for (GroupCommand& cmd : held) apply_group_command(std::move(cmd));
+    if (local_pbs_ != nullptr) local_pbs_->pause_scheduling(false);
     JLOG(kInfo, "joshua") << name() << ": replay complete";
     return;
   }

@@ -7,6 +7,7 @@
 // u32-length-prefixed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -43,7 +44,12 @@ class Writer {
     raw(s.data(), s.size());
   }
 
+  /// Reserves the blob's exact room first when it outgrows the buffer, so
+  /// framing a multi-megabyte body leaves no doubling slack in take().
   void bytes(const Payload& b) {
+    size_t need = buf_.size() + sizeof(uint32_t) + b.size();
+    if (need > buf_.capacity())
+      buf_.reserve(std::max(need, 2 * buf_.capacity()));
     u32(static_cast<uint32_t>(b.size()));
     raw(b.data(), b.size());
   }

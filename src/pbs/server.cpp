@@ -403,7 +403,18 @@ void Server::handle_load_state(const LoadStateRequest& req, sim::Endpoint from,
 // Scheduling & launching
 // ---------------------------------------------------------------------------
 
+void Server::pause_scheduling(bool paused) {
+  sched_paused_ = paused;
+  if (paused || !sched_deferred_) return;
+  sched_deferred_ = false;
+  request_sched_cycle();
+}
+
 void Server::request_sched_cycle() {
+  if (sched_paused_) {
+    sched_deferred_ = true;
+    return;
+  }
   if (sched_pending_) return;
   sched_pending_ = true;
   execute(config_.sched_cycle_proc, [this] {
@@ -413,6 +424,10 @@ void Server::request_sched_cycle() {
 }
 
 void Server::run_sched_cycle() {
+  if (sched_paused_) {  // queued before the pause; resume runs it again
+    sched_deferred_ = true;
+    return;
+  }
   m_sched_cycles_.add(1);
   sim().telemetry().trace().instant(sim().now().us, host_id(), tc_sched_,
                                     jobs_.size(), nodes_.size());
@@ -830,6 +845,8 @@ void Server::on_restart() {
   submissions_ = 0;
   preempt_inflight_.clear();
   preempt_counts_.clear();
+  sched_paused_ = false;
+  sched_deferred_ = false;
   for (NodeState& n : nodes_) {
     n.up = true;
     n.running.clear();

@@ -169,6 +169,13 @@ class Server : public net::RpcNode {
     next_job_id_ = std::max(next_job_id_, floor);
   }
 
+  /// While paused, no scheduling cycle runs (no launch, no preemption
+  /// request); the cycles asked for meanwhile collapse into one on resume.
+  /// A replay-mode joiner pauses its PBS until the whole log is applied:
+  /// deciding on a half-rebuilt queue would launch and preempt jobs the
+  /// group never did.
+  void pause_scheduling(bool paused);
+
   // net::RpcNode:
   void on_request(sim::Payload request, sim::Endpoint from,
                   uint64_t rpc_id) override;
@@ -228,6 +235,8 @@ class Server : public net::RpcNode {
   std::vector<NodeState> nodes_;
   Scheduler scheduler_;
   bool sched_pending_ = false;
+  bool sched_paused_ = false;
+  bool sched_deferred_ = false;  ///< a cycle was asked for while paused
   sim::TimerId sched_timer_ = 0;
   sim::TimerId checkpoint_timer_ = 0;
   sim::TimerId heartbeat_timer_ = 0;

@@ -124,40 +124,42 @@ Time Network::acquire_medium(Duration tx) {
   return medium_busy_until_;
 }
 
-void Network::send(Packet packet) {
+Time Network::send(Packet packet) {
   Host& src = host(packet.src.host);
-  if (!src.up()) return;
+  if (!src.up()) return sim_.now();
   if (!has_host(packet.dst.host)) {
     m_frames_dropped_.add(1);
-    return;
+    return sim_.now();
   }
   Host& dst = host(packet.dst.host);
 
   if (packet.src.host == packet.dst.host) {
     // Loopback: no medium, just IPC latency.
     deliver(std::move(packet), sim_.now() + config_.local_ipc);
-    return;
+    return sim_.now();
   }
 
   m_frames_sent_.add(1);
   m_bytes_sent_.add(packet.data.size() + config_.frame_overhead_bytes);
 
   if (!dst.up() || dst.partition() != src.partition()) {
+    // The frame still left the sender; the receiver never sees it.
     m_frames_dropped_.add(1);
-    return;  // the frame still left the sender; receiver never sees it
+    return sim_.now();
   }
   if (config_.loss_rate > 0.0 && sim_.rng().chance(config_.loss_rate)) {
     m_frames_dropped_.add(1);
-    return;
+    return sim_.now();
   }
 
   Duration tx = medium_transmit(packet.data.size());
   Duration jitter{config_.jitter.us > 0
                       ? sim_.rng().uniform(0, config_.jitter.us)
                       : 0};
-  Time arrival = acquire_medium(tx) + config_.propagation +
-                 config_.stack_latency * 2 + jitter;
-  deliver(std::move(packet), arrival);
+  Time released = acquire_medium(tx);
+  deliver(std::move(packet), released + config_.propagation +
+                                 config_.stack_latency * 2 + jitter);
+  return released;
 }
 
 void Network::multicast(Endpoint src, Port dst_port, Payload data,

@@ -142,7 +142,9 @@ class Network {
   HostId host_by_name(const std::string& name) const;
 
   /// Unicast a packet. Loss, partitions, and crashed destinations drop it.
-  void send(Packet packet);
+  /// Returns the time the frame releases the shared medium (now for a
+  /// loopback or dropped frame, which never holds it).
+  Time send(Packet packet);
 
   /// Physical multicast: one medium slot, delivered to every destination
   /// host (at `dst_port`) that is up and in the sender's partition. The

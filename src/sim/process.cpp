@@ -12,8 +12,8 @@ Process::~Process() {
   net_.host(host_id_).unbind(port_);
 }
 
-void Process::send(Endpoint dst, Payload data) {
-  net_.send(Packet{endpoint(), dst, std::move(data)});
+Time Process::send(Endpoint dst, Payload data) {
+  return net_.send(Packet{endpoint(), dst, std::move(data)});
 }
 
 void Process::multicast(Port dst_port, Payload data,

@@ -38,7 +38,8 @@ class Process : public IPacketHandler {
 
   // -- messaging ---------------------------------------------------------
 
-  void send(Endpoint dst, Payload data);
+  /// Returns when the frame releases the medium (Network::send).
+  Time send(Endpoint dst, Payload data);
   void multicast(Port dst_port, Payload data, const std::vector<HostId>& dsts);
 
   // -- timers --------------------------------------------------------------

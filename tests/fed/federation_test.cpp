@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/rpc.h"
 #include "testutil.h"
 
 namespace {
@@ -277,6 +278,92 @@ TEST(Federation, SurvivesHeadLossPerShard) {
   ASSERT_TRUE(f.run_until_converged());
   EXPECT_NE(jsub_sync(f, router, queued_job("batch")), pbs::kInvalidJob);
   EXPECT_NE(jsub_sync(f, router, queued_job("other")), pbs::kInvalidJob);
+}
+
+TEST(Federation, StreamedListingMergesWhileLocalReadsInterleave) {
+  // Each shard's answer to a whole-queue jstat is larger than one response
+  // frame, so it streams as a train of fragments. The merged listing must be
+  // every shard's table in id order, and single-id reads issued while the
+  // trains are on the hub must never wait behind a whole listing.
+  fed::FederationOptions options = fast_fed(2, 2, 1);
+  options.jstat_local = true;
+  options.pbs_persist = false;
+  fed::Federation f(std::move(options));
+  f.start();
+  ASSERT_TRUE(f.run_until_converged());
+  pbs::JobSpec spec = queued_job("backlog", sim::hours(8));
+  for (size_t h = 0; h < f.head_count(); ++h)
+    f.pbs_server(h).preload_queued(1500, spec);
+  fed::Router& router = f.make_router();
+  const uint64_t fragments_before =
+      f.sim().telemetry().metrics().find_counter("net.rpc_fragments")->value;
+
+  struct Read {
+    sim::Time issued;
+    sim::Time answered{0};
+  };
+  std::vector<Read> reads;
+  auto read = [&](size_t i) {
+    pbs::StatRequest req;
+    uint32_t shard = static_cast<uint32_t>(i % 2);
+    req.job_id = f.shard_map().first_id(shard) + i;
+    reads.push_back(Read{f.sim().now()});
+    router.jstat(req, [&reads, &f, i](std::optional<pbs::StatResponse> r) {
+      ASSERT_TRUE(r.has_value());
+      ASSERT_EQ(r->jobs.size(), 1u);
+      reads[i].answered = f.sim().now();
+    });
+  };
+
+  read(0);
+  f.sim().run_for(sim::msec(50));
+  ASSERT_GT(reads[0].answered.us, 0);
+  const int64_t idle_us = (reads[0].answered - reads[0].issued).us;
+
+  std::optional<pbs::StatResponse> listing;
+  bool listed = false;
+  router.jstat(pbs::StatRequest{}, [&](std::optional<pbs::StatResponse> r) {
+    listed = true;
+    listing = std::move(r);
+  });
+  while (!listed && f.sim().now() < sim::Time{0} + sim::seconds(120)) {
+    read(reads.size());
+    f.sim().run_for(sim::usec(500));
+  }
+  f.sim().run_for(sim::seconds(1));
+
+  ASSERT_TRUE(listing.has_value());
+  ASSERT_EQ(listing->status, pbs::Status::kOk);
+  // Shard 0's ids all sort below shard 1's, so the shards' own tables
+  // concatenated are the merged order.
+  std::vector<pbs::JobId> expected;
+  for (uint32_t shard = 0; shard < 2; ++shard) {
+    size_t h = 0;
+    while (f.shard_of_head(h) != shard) ++h;
+    for (const auto& [id, job] : f.pbs_server(h).jobs()) expected.push_back(id);
+  }
+  std::vector<pbs::JobId> got;
+  for (const pbs::Job& job : listing->jobs) got.push_back(job.id);
+  EXPECT_EQ(got, expected) << "every shard's jobs, ascending, once";
+  EXPECT_EQ(got.size(), 3000u);
+  EXPECT_GT(f.sim().telemetry().metrics().find_counter("net.rpc_fragments")
+                ->value - fragments_before,
+            2u)
+      << "the listings streamed";
+
+  // A read crosses the hub twice and each way can meet one fragment of each
+  // shard's train: four fragment times (1.3 ms each at 100 Mbit/s) on top
+  // of an idle read. A whole listing would hold the hub for ~17 ms.
+  const sim::NetworkConfig& net = f.net().config();
+  const int64_t fragment_us = static_cast<int64_t>(
+      static_cast<double>(net::kMaxResponseChunk + 25 +
+                          net.frame_overhead_bytes) *
+      8.0 / net.bandwidth_bps * 1e6);
+  ASSERT_GT(reads.size(), 10u);
+  for (const Read& r : reads) {
+    ASSERT_GT(r.answered.us, 0);
+    EXPECT_LE((r.answered - r.issued).us, idle_us + 4 * fragment_us);
+  }
 }
 
 }  // namespace

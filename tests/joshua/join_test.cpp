@@ -133,6 +133,50 @@ TEST(JoinReplayCompaction, CompletedJobsNotReplayed) {
   EXPECT_GE(cluster.joshua_server(1).stats().replays_applied.own(), 1u);
 }
 
+// A replay-mode joiner rebuilds the queue one command at a time. Its PBS
+// must not schedule on the half-rebuilt queue: with the preempt policy it
+// would launch the first replayed job on a node the group has given to a
+// later, higher-priority one, then multicast an ordered preemption of that
+// launch -- a decision no group member's state called for.
+TEST(JoinReplayScheduling, JoinerSchedulesNothingMidReplay) {
+  joshua::ClusterOptions options = fast_options(3, 1);
+  options.sched.policy = "preempt";
+  joshua::Cluster cluster(options);
+  cluster.start();
+  ASSERT_TRUE(cluster.run_until_converged());
+  joshua::Client& client = cluster.make_jclient();
+
+  pbs::JobSpec low = quick_job(sim::seconds(600));
+  low.priority = 0;
+  pbs::JobSpec high = quick_job(sim::seconds(600));
+  high.priority = 10;
+  pbs::JobId low_id = jsub_sync(cluster, client, low);
+  ASSERT_TRUE(wait_state_everywhere(cluster, low_id, pbs::JobState::kRunning));
+  pbs::JobId high_id = jsub_sync(cluster, client, high);
+  ASSERT_TRUE(wait_state_everywhere(cluster, high_id, pbs::JobState::kRunning));
+  ASSERT_TRUE(wait_state_everywhere(cluster, low_id, pbs::JobState::kQueued));
+  // Every head's scheduler asks once; the repeats are ordered no-ops.
+  const uint64_t preempts =
+      cluster.joshua_server(0).stats().preempts_ordered.own();
+  ASSERT_GE(preempts, 1u);
+
+  cluster.net().crash_host(cluster.head_hosts()[2]);
+  ASSERT_TRUE(cluster.run_until_converged());
+  cluster.net().restart_host(cluster.head_hosts()[2]);
+  cluster.joshua_server(2).start();
+  ASSERT_TRUE(cluster.run_until_converged(sim::seconds(60)));
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] {
+    return !cluster.joshua_server(2).replaying() &&
+           cluster.pbs_server(2).find_job(high_id).has_value();
+  }, sim::seconds(60)));
+  cluster.sim().run_for(sim::seconds(5));
+
+  EXPECT_EQ(cluster.joshua_server(0).stats().preempts_ordered.own(), preempts)
+      << "the joiner ordered a preemption while replaying";
+  EXPECT_EQ(cluster.mom(0).jobs_executed(), 2u);
+  EXPECT_TRUE(heads_consistent(cluster));
+}
+
 TEST(JoinSnapshot, SnapshotPreservesJobIdsAndStates) {
   joshua::ClusterOptions options = fast_options(2, 1);
   options.transfer = joshua::TransferMode::kSnapshot;

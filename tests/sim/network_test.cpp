@@ -165,6 +165,22 @@ TEST_F(NetworkTest, SharedMediumSerializesLargeFrames) {
   EXPECT_GE(gap.us, 9000) << "second frame waited for the medium";
 }
 
+TEST_F(NetworkTest, SendReturnsWhenTheFrameReleasesTheMedium) {
+  Sink sink(net_, b_, 10);
+  sim::Payload big(125000 - 54, 0xab);  // with framing: 1 Mbit, 10 ms
+  sim::Time first = net_.send({{a_, 1}, {b_, 10}, big});
+  EXPECT_EQ(first.us, 10000);
+  // Queued behind the first frame: released one more slot later.
+  sim::Time second = net_.send({{c_, 1}, {b_, 10}, big});
+  EXPECT_EQ(second.us, 20000);
+  // Loopback and dropped frames never hold the medium.
+  EXPECT_EQ(net_.send({{b_, 1}, {b_, 10}, big}).us, 0);
+  net_.crash_host(c_);
+  EXPECT_EQ(net_.send({{a_, 1}, {c_, 10}, big}).us, 0);
+  sim_.run();
+  EXPECT_EQ(sink.received.size(), 3u);
+}
+
 TEST_F(NetworkTest, HostCpuSerializesWork) {
   sim::Host& host = net_.host(a_);
   std::vector<int64_t> done;
