@@ -1,6 +1,7 @@
 #include "gcs/group_member.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/calibration.h"
@@ -43,6 +44,7 @@ GroupMember::GroupMember(sim::Network& net, sim::HostId host,
   stats_.cuts_sent = m.counter("gcs.cuts_sent");
   stats_.cuts_received = m.counter("gcs.cuts_received");
   stats_.nacks_sent = m.counter("gcs.nacks_sent");
+  stats_.nacks_spurious = m.counter("gcs.nacks_spurious");
   stats_.retransmits_served = m.counter("gcs.retransmits_served");
   stats_.delivered = m.counter("gcs.delivered");
   stats_.views_installed = m.counter("gcs.views_installed");
@@ -147,9 +149,16 @@ void GroupMember::do_multicast(sim::Payload payload, Delivery level) {
     execute(config_.self_deliver, [this] { deliver_ready(); });
     return;
   }
-  DataWire wire{make_header(), msg};
+  // The frame announces itself: it reaches peers behind every earlier frame
+  // of ours (the CPU queue is FIFO), so its claim is true when it lands.
+  DataWire wire{Header{id(), msg.lamport, msg.id.seq, buffer_.received_vector()},
+                msg};
   sim::Payload buf = encode(wire);
-  execute(config_.send_proc, [this, buf = std::move(buf)] {
+  unsent_.push_back({msg.id.seq, msg.lamport});
+  execute(config_.send_proc, [this, buf = std::move(buf), seq = msg.id.seq] {
+    // A view change since the encode cleared unsent_ (the flush carried
+    // the frame); only pop our own entry.
+    if (!unsent_.empty() && unsent_.front().seq == seq) unsent_.pop_front();
     cast_to_members(buf);
     deliver_ready();
   });
@@ -171,7 +180,15 @@ void GroupMember::release_window() {
 // ---------------------------------------------------------------------------
 
 Header GroupMember::make_header() {
-  return Header{id(), lamport_, my_seq_, buffer_.received_vector()};
+  if (unsent_.empty())
+    return Header{id(), lamport_, my_seq_, buffer_.received_vector()};
+  // Announce only frames already on the wire. Both fields stop short of the
+  // oldest queued frame: the all-ack rule delivers m once every member is
+  // heard past m.lamport with nothing missing below its sent_upto, so a
+  // lamport past a queued frame would let peers deliver over it.
+  const Unsent& first = unsent_.front();
+  return Header{id(), first.lamport - 1, first.seq - 1,
+                buffer_.received_vector()};
 }
 
 std::vector<sim::HostId> GroupMember::other_members() const {
@@ -327,6 +344,8 @@ void GroupMember::handle_retransmit(RetransmitWire m) {
     if (buffer_.insert(msg)) {
       retain(msg);
       apply_engine(engine_->on_insert(msg, sim().now().us));
+    } else {
+      stats_.nacks_spurious.add(1);
     }
   }
   deliver_ready();
@@ -454,12 +473,14 @@ void GroupMember::send_cut(bool periodic) {
 void GroupMember::retain(const DataMsg& m) { retained_[m.id] = m; }
 
 void GroupMember::prune_retained() {
+  // One stability query per sender: erase its stable prefix, then skip to
+  // the next sender.
   for (auto it = retained_.begin(); it != retained_.end();) {
-    if (it->first.seq <= buffer_.stable_upto(it->first.sender)) {
-      it = retained_.erase(it);
-    } else {
-      ++it;
-    }
+    const MemberId sender = it->first.sender;
+    it = retained_.erase(
+        it, retained_.upper_bound(MsgId{sender, buffer_.stable_upto(sender)}));
+    it = retained_.upper_bound(
+        MsgId{sender, std::numeric_limits<uint64_t>::max()});
   }
 }
 
@@ -808,6 +829,7 @@ void GroupMember::install_view(const VcCommitWire& commit) {
   }
   retained_.clear();
   nacked_.clear();
+  unsent_.clear();
   suspected_.clear();
   leavers_.clear();
   for (MemberId j : view_.members) joiners_.erase(j);
@@ -1017,6 +1039,7 @@ void GroupMember::become_down() {
   my_seq_ = 0;
   retained_.clear();
   nacked_.clear();
+  unsent_.clear();
   last_heard_.clear();
   suspected_.clear();
   joiners_.clear();

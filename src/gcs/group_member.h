@@ -155,6 +155,9 @@ class GroupMember : public sim::Process {
     telemetry::Counter cuts_sent;
     telemetry::Counter cuts_received;
     telemetry::Counter nacks_sent;
+    /// Retransmitted messages that were already held on arrival: the NACK
+    /// that drew them was not needed.
+    telemetry::Counter nacks_spurious;
     telemetry::Counter retransmits_served;
     telemetry::Counter delivered;
     telemetry::Counter views_installed;
@@ -230,6 +233,14 @@ class GroupMember : public sim::Process {
   uint64_t my_seq_ = 0;
   std::map<MsgId, DataMsg> retained_;  ///< current-view messages for flush
   std::map<MsgId, sim::Time> nacked_;  ///< dedup recent NACKs
+  /// Own data frames encoded but still queued on this host's CPU, oldest
+  /// first. make_header() announces nothing at or past the oldest one: a
+  /// peer that heard of a frame before it is on the wire would NACK it.
+  struct Unsent {
+    uint64_t seq;
+    uint64_t lamport;
+  };
+  std::deque<Unsent> unsent_;
 
   // Membership.
   View view_;

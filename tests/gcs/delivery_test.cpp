@@ -197,6 +197,46 @@ TEST(Delivery, ThroughputBurstAllDelivered) {
   EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[1].delivered));
 }
 
+TEST(Delivery, FramesQueuedBehindCpuWorkKeepTotalOrder) {
+  // Member 0's data frames sit on its CPU queue behind 200ms of work while
+  // its 10ms heartbeats go out directly and member 2 multicasts a burst of
+  // its own with interleaving Lamport stamps. A heartbeat that announced
+  // member 0's clock past its queued frames would let member 1 deliver
+  // member 2's messages over them; member 0 itself orders them correctly,
+  // so the delivery logs would disagree.
+  GcsHarness h(3, 1, [](gcs::GroupConfig& cfg) {
+    cfg.ordering = gcs::OrderingMode::kAllAck;  // the rule under test
+    cfg.order_batch = 1;
+    cfg.inflight_window = 0;
+    cfg.heartbeat_interval = sim::msec(10);
+    cfg.suspect_timeout = sim::seconds(30);  // no view change in this test
+    cfg.flush_timeout = sim::seconds(60);
+  });
+  h.join_all();
+  ASSERT_TRUE(h.run_until_converged(3));
+  h.sim.run_for(sim::msec(100));
+
+  constexpr int kBurst = 10;
+  h.net.host(h.hosts[0]).execute(sim::msec(200), [] {});
+  for (int i = 0; i < kBurst; ++i) {
+    h.members[0]->multicast(h.payload_of(i));
+    h.members[2]->multicast(h.payload_of(100 + i));
+  }
+  ASSERT_TRUE(testutil::run_until(h.sim, [&] {
+    for (const auto& log : h.logs)
+      if (log.delivered.size() < 2 * kBurst) return false;
+    return true;
+  }));
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(h.logs[i].delivered.size(), 2u * kBurst);
+    EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[i].delivered));
+  }
+  EXPECT_TRUE(
+      GcsHarness::prefix_consistent(h.logs[0].delivered, h.logs[1].delivered));
+  EXPECT_TRUE(
+      GcsHarness::prefix_consistent(h.logs[0].delivered, h.logs[2].delivered));
+}
+
 TEST(Delivery, MulticastWhileDownThrows) {
   GcsHarness h(1);
   EXPECT_THROW(h.members[0]->multicast(h.payload_of(1)), std::logic_error);

@@ -1,8 +1,9 @@
 // NACK-retransmission edge cases in the reliability layer: a healed
 // partition recovers lost data via NACK -> retransmit, duplicate NACKs for
 // the same gap are deduplicated inside the nacked_ window (and re-armed
-// after it expires), and the Stats counter agrees with the "gcs.nacks_sent"
-// telemetry counter.
+// after it expires), redundant retransmissions count as spurious, a frame
+// still queued on the sender's CPU draws no NACK, and the Stats counter
+// agrees with the "gcs.nacks_sent" telemetry counter.
 //
 // The suspect timeout is raised far above every partition in these tests so
 // no view change fires: this exercises the reliability layer alone, not the
@@ -89,9 +90,11 @@ TEST(Nack, DuplicateNacksDedupedWithinWindowRearmedAfter) {
   h.join_all();
   ASSERT_TRUE(h.run_until_converged(2));
 
+  // The data frame leaves member 0's CPU send_proc after the multicast
+  // (~t0+160ms), so the partition must outlast it for the frame to be lost.
   sim::Time t0 = h.sim.now();
-  h.faults.partition(h.hosts[1], 1, t0 + sim::msec(5), t0 + sim::msec(100));
-  h.sim.run_for(sim::msec(50));
+  h.faults.partition(h.hosts[1], 1, t0 + sim::msec(5), t0 + sim::msec(300));
+  h.sim.run_for(sim::msec(10));
   h.members[0]->multicast(h.payload_of(9));
   ASSERT_TRUE(testutil::run_until(
       h.sim, [&] { return deliveries_of(h.logs[1], h.hosts[0], 1) > 0; },
@@ -108,6 +111,74 @@ TEST(Nack, DuplicateNacksDedupedWithinWindowRearmedAfter) {
   EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[1].delivered));
   EXPECT_EQ(nacks_counter(h), total_nacks_sent(h))
       << "Stats::nacks_sent and the gcs.nacks_sent counter must agree";
+}
+
+TEST(Nack, RedundantRetransmitCountsAsSpurious) {
+  // The lost-frame schedule above: several deduplicated NACKs each draw a
+  // retransmission, but only the first one to land is new. Every later one
+  // is already held and counts as spurious.
+  GcsHarness h(2, 1, [](gcs::GroupConfig& cfg) {
+    cfg.suspect_timeout = sim::seconds(30);
+    cfg.flush_timeout = sim::seconds(60);
+    cfg.heartbeat_interval = sim::msec(10);
+    cfg.nack_delay = sim::msec(15);
+    cfg.send_proc = sim::msec(150);
+  });
+  h.join_all();
+  ASSERT_TRUE(h.run_until_converged(2));
+
+  sim::Time t0 = h.sim.now();
+  h.faults.partition(h.hosts[1], 1, t0 + sim::msec(5), t0 + sim::msec(300));
+  h.sim.run_for(sim::msec(10));
+  h.members[0]->multicast(h.payload_of(9));
+  ASSERT_TRUE(testutil::run_until(
+      h.sim, [&] { return deliveries_of(h.logs[1], h.hosts[0], 1) > 0; },
+      sim::seconds(10)));
+  h.sim.run_for(sim::seconds(1));
+
+  uint64_t served = h.members[0]->stats().retransmits_served.own();
+  ASSERT_GE(served, 2u) << "the schedule must draw a redundant retransmit";
+  EXPECT_EQ(h.members[1]->stats().nacks_spurious.own(), served - 1);
+  EXPECT_EQ(h.members[0]->stats().nacks_spurious.own(), 0u);
+  const auto* cell =
+      h.sim.telemetry().metrics().find_counter("gcs.nacks_spurious");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->value, served - 1);
+}
+
+TEST(Nack, FrameQueuedOnSenderCpuIsNotNacked) {
+  // No loss at all, but each data frame waits send_proc on the sender's CPU
+  // while 10ms heartbeats go out directly. A heartbeat that announced a
+  // frame still on the CPU queue would open a gap at the receivers and draw
+  // a NACK (and a retransmission) for a frame that was never lost.
+  GcsHarness h(3, 1, [](gcs::GroupConfig& cfg) {
+    cfg.suspect_timeout = sim::seconds(30);
+    cfg.flush_timeout = sim::seconds(60);
+    cfg.heartbeat_interval = sim::msec(10);
+    cfg.nack_delay = sim::msec(15);
+    cfg.send_proc = sim::msec(150);
+  });
+  h.join_all();
+  ASSERT_TRUE(h.run_until_converged(3));
+  for (int i = 0; i < 6; ++i) {
+    h.members[static_cast<size_t>(i) % 3]->multicast(h.payload_of(i));
+    h.sim.run_for(sim::msec(40));
+  }
+  ASSERT_TRUE(testutil::run_until(h.sim, [&] {
+    for (const auto& log : h.logs)
+      if (log.delivered.size() < 6) return false;
+    return true;
+  }));
+  h.sim.run_for(sim::seconds(1));
+
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(h.logs[i].delivered.size(), 6u);
+    EXPECT_TRUE(GcsHarness::fifo_clean(h.logs[i].delivered));
+    EXPECT_EQ(h.members[i]->stats().retransmits_served.own(), 0u);
+  }
+  EXPECT_EQ(total_nacks_sent(h), 0u)
+      << "a frame queued on the sender's CPU is not lost";
+  EXPECT_EQ(nacks_counter(h), 0u);
 }
 
 TEST(Nack, NoGapMeansNoNacks) {

@@ -23,6 +23,7 @@ void add_gcs(Tally& t, const gcs::GroupMember& g) {
   t["gcs.cuts_sent"] += s.cuts_sent.own();
   t["gcs.cuts_received"] += s.cuts_received.own();
   t["gcs.nacks_sent"] += s.nacks_sent.own();
+  t["gcs.nacks_spurious"] += s.nacks_spurious.own();
   t["gcs.retransmits_served"] += s.retransmits_served.own();
   t["gcs.delivered"] += s.delivered.own();
   t["gcs.views_installed"] += s.views_installed.own();
