@@ -85,7 +85,7 @@ TraceResult run_trace(const pbs::SchedulerConfig& sched,
   size_t expected = 0;
   for (const pbs::TraceOp& op : trace)
     if (op.kind == pbs::TraceOp::Kind::kSubmit)
-      expected += op.spec.array_count > 1 ? op.spec.array_count : 1;
+      expected += op.spec.submit_count();
 
   sim::Time start = simulation.now();
   sim::Time deadline = start + sim::hours(24);
@@ -110,17 +110,17 @@ TraceResult run_trace(const pbs::SchedulerConfig& sched,
   double wait_sum = 0, high_sum = 0;
   int32_t top = 0;
   for (const auto& [id, job] : server.jobs())
-    top = std::max(top, job.spec.priority);
+    top = std::max(top, job.spec->priority);
   size_t waits = 0, highs = 0;
   for (const auto& [id, job] : server.jobs()) {
     (void)id;
     if (!job.terminal() || job.cancelled) continue;
     busy_node_seconds +=
-        (job.end_time - job.start_time).seconds() * job.spec.nodes;
+        (job.end_time - job.start_time).seconds() * job.spec->nodes;
     double wait = (job.start_time - job.submit_time).seconds();
     wait_sum += wait;
     ++waits;
-    if (job.spec.priority == top) {
+    if (job.spec->priority == top) {
       high_sum += wait;
       ++highs;
     }

@@ -101,20 +101,19 @@ void Router::jstat(pbs::StatRequest req,
             if (done) done(std::nullopt);
             return;
           }
+          // Each part is sorted (a shard lists its table in id order) and
+          // shard s owns the id block above shard s-1's, so appending the
+          // parts in shard order yields ascending ids; each part is freed as
+          // soon as it has been moved.
           pbs::StatResponse out;
           out.status = merge->status;
           size_t total = 0;
           for (const auto& part : merge->parts) total += part.size();
           out.jobs.reserve(total);
-          for (auto& part : merge->parts)
-            out.jobs.insert(out.jobs.end(),
-                            std::make_move_iterator(part.begin()),
-                            std::make_move_iterator(part.end()));
-          merge->parts.clear();
-          std::sort(out.jobs.begin(), out.jobs.end(),
-                    [](const pbs::Job& a, const pbs::Job& b) {
-                      return a.id < b.id;
-                    });
+          for (auto& part : merge->parts) {
+            std::move(part.begin(), part.end(), std::back_inserter(out.jobs));
+            std::vector<pbs::Job>().swap(part);
+          }
           if (done) done(std::move(out));
         });
   }

@@ -34,7 +34,7 @@ size_t MomPlugin::head_index_of(sim::HostId host) const {
 void MomPlugin::jmutex(const pbs::Job& job, sim::HostId requesting_head,
                        std::function<void(pbs::PrologueDecision)> done) {
   ++mutex_attempts_;
-  execute(config_.script_proc, [this, id = job.id, r = job.spec.replicas,
+  execute(config_.script_proc, [this, id = job.id, r = job.spec->replicas,
                                 requesting_head,
                                 done = std::move(done)]() mutable {
     // Ask the requesting head first -- it can multicast its own mutex

@@ -479,8 +479,7 @@ sim::Payload Server::get_state() {
       if (pbs::peek_op(entry.request) == pbs::Op::kSubmit &&
           entry.job != pbs::kInvalidJob) {
         pbs::SubmitRequest submit = pbs::decode_submit(entry.request);
-        uint32_t count =
-            submit.spec.array_count > 1 ? submit.spec.array_count : 1;
+        uint32_t count = submit.spec.submit_count();
         if (count == 1) {
           if (terminal_jobs_.count(entry.job)) continue;  // compacted away
           submit.forced_id = entry.job;
@@ -489,18 +488,17 @@ sim::Payload Server::get_state() {
         }
         // Array submit: sub-jobs reach terminal state independently, so the
         // whole entry compacts only once every id in [base, base+count) is
-        // terminal. A partially finished array is rewritten as individual
-        // forced-id submits for the live sub-jobs -- replaying the original
-        // array would resurrect finished sub-jobs as queued phantoms (and
-        // re-execute them, breaking exactly-once).
+        // terminal. A partially finished array is rewritten as one forced-id
+        // member submit per live sub-job (the array's spec plus the index,
+        // so the joiner's record equals the donor's) -- replaying the
+        // original array would resurrect finished sub-jobs as queued
+        // phantoms (and re-execute them, breaking exactly-once).
         for (uint32_t i = 0; i < count; ++i) {
           pbs::JobId sub_id = entry.job + i;
           if (terminal_jobs_.count(sub_id)) continue;
           pbs::SubmitRequest one = submit;
           one.forced_id = sub_id;
-          one.spec.array_count = 0;
           one.spec.array_index = static_cast<int32_t>(i);
-          one.spec.name = submit.spec.name + "[" + std::to_string(i) + "]";
           log.requests.push_back(pbs::encode_request(one));
         }
         continue;

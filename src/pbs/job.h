@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +29,18 @@ enum class JobState : uint8_t {
 std::string_view to_string(JobState s);
 char state_letter(JobState s);
 
+/// The rarely set parts of a spec, kept behind one pointer so that a plain
+/// spec stays small.
+struct JobExtras {
+  std::string script;           ///< payload carried for realism
+  /// Node type / feature requests (heterogeneous clusters). Empty = any
+  /// node; features are conjunctive ("gpu" AND "bigmem").
+  std::string node_type;
+  std::vector<std::string> features;
+
+  bool operator==(const JobExtras&) const = default;
+};
+
 /// What the user submits (the qsub arguments + script).
 struct JobSpec {
   std::string name = "job";
@@ -44,40 +57,60 @@ struct JobSpec {
   /// first-to-finish wins and the losers are reaped. 1 = the paper's
   /// unreplicated compute plane.
   uint32_t replicas = 1;
-  std::string script;           ///< payload carried for realism
-  /// Node type / feature requests (heterogeneous clusters). Empty = any
-  /// node; features are conjunctive ("gpu" AND "bigmem").
-  std::string node_type;
-  std::vector<std::string> features;
   /// Job-array request (qsub -t 0-(N-1)): the server expands the submit
   /// into `array_count` sub-jobs with consecutive ids and ranks, all
   /// through the ordered stream. 0/1 = plain single job.
   uint32_t array_count = 0;
-  /// Sub-job's index within its array; -1 on anything that is not an
-  /// expanded array member.
+  /// -1 on a plain submit. A submit with an index >= 0 creates that one
+  /// member of an array (name "name[index]"): the replay transfer rewrites a
+  /// partially finished array into such submits.
   int32_t array_index = -1;
+  /// Null when no extra is set.
+  std::shared_ptr<const JobExtras> extras;
+
+  const std::string& script() const;
+  const std::string& node_type() const;
+  const std::vector<std::string>& features() const;
+
+  /// Jobs one submit of this spec creates.
+  uint32_t submit_count() const {
+    return array_index < 0 && array_count > 1 ? array_count : 1;
+  }
+
+  /// Field-wise; extras compare by content.
+  bool operator==(const JobSpec& other) const;
 };
 
-/// Server-side runtime record.
+/// Server-side runtime record. The spec is immutable and shared: every
+/// sub-job of an array points at the array's one spec (its name without the
+/// "[i]" suffix, array_index -1) and keeps only its own index. On the wire a
+/// record carries the full per-job spec, as it always has; decode_job gives
+/// back the shared form.
 struct Job {
   JobId id = kInvalidJob;
-  JobSpec spec;
-  JobState state = JobState::kQueued;
+  std::shared_ptr<const JobSpec> spec = default_spec();  ///< never null
   sim::Time submit_time{0};
   sim::Time start_time{0};
   sim::Time end_time{0};
-  int32_t exit_code = 0;
-  bool cancelled = false;
   uint64_t queue_rank = 0;   ///< FIFO position (submission order)
-  sim::HostId exec_host = sim::kInvalidHost;  ///< mom host while running
   /// Mother-superior hosts of every live replica (exec_host is the first).
   /// Shrinks as replicas fail or are reaped; empty once the job completes.
   std::vector<sim::HostId> replica_hosts;
+  int32_t exit_code = 0;
+  sim::HostId exec_host = sim::kInvalidHost;  ///< mom host while running
+  /// Index within the array `spec` describes; -1 = `spec` is this job's own.
+  int32_t array_index = -1;
+  JobState state = JobState::kQueued;
+  bool cancelled = false;
 
   bool terminal() const { return state == JobState::kComplete; }
   bool active() const {
     return state == JobState::kRunning || state == JobState::kExiting;
   }
+  /// The job's name as submitted or derived ("name[i]" for a sub-job).
+  std::string name() const;
+
+  static const std::shared_ptr<const JobSpec>& default_spec();
 };
 
 /// "17.cluster" style PBS job id string.
@@ -87,6 +120,8 @@ void encode_job_spec(net::Writer& w, const JobSpec& spec);
 JobSpec decode_job_spec(net::Reader& r);
 
 void encode_job(net::Writer& w, const Job& job);
-Job decode_job(net::Reader& r);
+/// Shares `prev`'s spec when the decoded one is equal to it, so a listing
+/// or snapshot gives back one spec per array.
+Job decode_job(net::Reader& r, const Job* prev = nullptr);
 
 }  // namespace pbs

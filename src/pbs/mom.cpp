@@ -130,9 +130,9 @@ void Mom::start_job(Instance& inst) {
   ++jobs_executed_;
   ++real_run_log_[inst.job.id];
   JLOG(kDebug, "mom") << name() << ": job " << inst.job.id << " started ("
-                      << inst.job.spec.run_time.millis() << " ms)";
+                      << inst.job.spec->run_time.millis() << " ms)";
   JobId id = inst.job.id;
-  inst.run_timer = set_timer(inst.job.spec.run_time, [this, id] {
+  inst.run_timer = set_timer(inst.job.spec->run_time, [this, id] {
     finish_job(id, /*exit_code=*/0, /*cancelled=*/false);
   });
 }

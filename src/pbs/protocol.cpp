@@ -246,17 +246,25 @@ SubmitResponse decode_submit_response(const sim::Payload& buf) {
   return m;
 }
 
+StatWriter::StatWriter(Status status, uint32_t count) {
+  w_.u8(static_cast<uint8_t>(status));
+  w_.u32(count);
+}
+
 sim::Payload encode_response(const StatResponse& m) {
-  net::Writer w;
-  w.u8(static_cast<uint8_t>(m.status));
-  w.vec(m.jobs, [](net::Writer& w2, const Job& j) { encode_job(w2, j); });
-  return w.take();
+  StatWriter out(m.status, static_cast<uint32_t>(m.jobs.size()));
+  for (const Job& job : m.jobs) out.add(job);
+  return out.finish();
 }
 StatResponse decode_stat_response(const sim::Payload& buf) {
   net::Reader r(buf);
   StatResponse m;
   m.status = static_cast<Status>(r.u8());
-  m.jobs = r.vec<Job>([](net::Reader& r2) { return decode_job(r2); });
+  uint32_t n = r.u32();
+  if (n > r.remaining()) throw net::WireError("vector count exceeds buffer");
+  m.jobs.reserve(n);
+  for (uint32_t i = 0; i < n; ++i)
+    m.jobs.push_back(decode_job(r, m.jobs.empty() ? nullptr : &m.jobs.back()));
   r.expect_done();
   return m;
 }

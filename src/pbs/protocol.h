@@ -74,6 +74,19 @@ struct StatResponse {
   std::vector<Job> jobs;
 };
 
+/// Writes a StatResponse's bytes one record at a time, so a server lists
+/// its table without first copying it into a StatResponse.
+class StatWriter {
+ public:
+  /// `count` records must follow.
+  StatWriter(Status status, uint32_t count);
+  void add(const Job& job) { encode_job(w_, job); }
+  sim::Payload finish() { return w_.take(); }
+
+ private:
+  net::Writer w_;
+};
+
 struct DeleteRequest {
   JobId job_id = kInvalidJob;
 };

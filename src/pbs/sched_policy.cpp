@@ -37,7 +37,7 @@ std::vector<const Job*> eligible_fifo(const std::map<JobId, Job>& jobs) {
 /// heads regardless of when each one runs its cycle relative to `now`.
 int64_t effective_priority(const Job& job, const SchedulerConfig& config,
                            sim::Time now) {
-  int64_t p = job.spec.priority;
+  int64_t p = job.spec->priority;
   if (config.priority_aging.us > 0 && now.us > job.submit_time.us)
     p += (now.us - job.submit_time.us) / config.priority_aging.us;
   return p;
@@ -99,7 +99,7 @@ size_t run_strict(const SchedContext& ctx,
                   SchedDecisions& out) {
   size_t next = 0;
   while (next < queue.size()) {
-    auto sets = ctx.selector.select(pool, queue[next]->spec, true);
+    auto sets = ctx.selector.select(pool, *queue[next]->spec, true);
     if (sets.empty()) break;
     LaunchDecision d;
     d.job = queue[next]->id;
@@ -123,32 +123,32 @@ void easy_backfill(const SchedContext& ctx,
   for (const auto& [id, job] : ctx.jobs) {
     (void)id;
     if (job.state != JobState::kRunning) continue;
-    sim::Time release = job.start_time + job.spec.walltime;
+    sim::Time release = job.start_time + job.spec->walltime;
     if (release < ctx.now) release = ctx.now;  // overran its estimate
-    releases.emplace_back(release, job.spec.nodes);
+    releases.emplace_back(release, job.spec->nodes);
   }
   std::sort(releases.begin(), releases.end());
-  size_t avail = eligible_hosts(pool, blocked->spec);
+  size_t avail = eligible_hosts(pool, *blocked->spec);
   sim::Time shadow = sim::kTimeInfinity;
   for (const auto& [when, count] : releases) {
     avail += count;
-    if (avail >= blocked->spec.nodes) {
+    if (avail >= blocked->spec->nodes) {
       shadow = when;
       break;
     }
   }
   // Nodes free at the shadow instant that the blocked job will NOT need.
   size_t spare_at_shadow =
-      avail >= blocked->spec.nodes ? avail - blocked->spec.nodes : 0;
+      avail >= blocked->spec->nodes ? avail - blocked->spec->nodes : 0;
 
   for (size_t i = next + 1; i < queue.size() && !pool_exhausted(pool); ++i) {
     const Job* candidate = queue[i];
-    if (candidate->spec.nodes > eligible_hosts(pool, candidate->spec))
+    if (candidate->spec->nodes > eligible_hosts(pool, *candidate->spec))
       continue;
-    bool fits_before_shadow = ctx.now + candidate->spec.walltime <= shadow;
-    bool fits_spare = candidate->spec.nodes <= spare_at_shadow;
+    bool fits_before_shadow = ctx.now + candidate->spec->walltime <= shadow;
+    bool fits_spare = candidate->spec->nodes <= spare_at_shadow;
     if (!fits_before_shadow && !fits_spare) continue;
-    auto sets = ctx.selector.select(pool, candidate->spec, false);
+    auto sets = ctx.selector.select(pool, *candidate->spec, false);
     if (sets.empty()) continue;
     LaunchDecision d;
     d.job = candidate->id;
@@ -156,7 +156,7 @@ void easy_backfill(const SchedContext& ctx,
     d.nodes = d.replica_sets.front();
     if (!fits_before_shadow && fits_spare) {
       // Runs past the shadow but on nodes the blocked job will not use.
-      spare_at_shadow -= candidate->spec.nodes;
+      spare_at_shadow -= candidate->spec->nodes;
     }
     out.launches.push_back(std::move(d));
     ++out.backfilled;
@@ -281,30 +281,30 @@ class PreemptPolicy : public SchedPolicy {
     size_t next = run_strict(ctx, queue, pool, out);
     if (next >= queue.size()) return out;
     const Job* blocked = queue[next];
-    if (blocked->spec.nodes == 0) return out;
+    if (blocked->spec->nodes == 0) return out;
 
     // Would requeuing lower-priority running jobs free enough hosts for the
     // blocked head? All-or-nothing: partial preemption wastes completed
     // work without unblocking anything. The launch itself happens on a
     // later cycle, once the ordered requeues have been applied.
-    size_t have = eligible_hosts(pool, blocked->spec);
-    if (have >= blocked->spec.nodes) return out;  // selector constraint gap
+    size_t have = eligible_hosts(pool, *blocked->spec);
+    if (have >= blocked->spec->nodes) return out;  // selector constraint gap
     int64_t head = effective_priority(*blocked, ctx.config, ctx.now);
     std::vector<const Job*> victims = preemption_candidates(ctx, head);
     std::vector<JobId> chosen;
     for (const Job* v : victims) {
       size_t gain = 0;
       for (const NodeState& n : ctx.nodes) {
-        if (!n.up || !n.has(v->id) || !n.satisfies(blocked->spec)) continue;
+        if (!n.up || !n.has(v->id) || !n.satisfies(*blocked->spec)) continue;
         if (n.free_slots() > 0) continue;  // host already counted available
         ++gain;
       }
       if (gain == 0) continue;
       chosen.push_back(v->id);
       have += gain;
-      if (have >= blocked->spec.nodes) break;
+      if (have >= blocked->spec->nodes) break;
     }
-    if (have >= blocked->spec.nodes) out.preemptions = std::move(chosen);
+    if (have >= blocked->spec->nodes) out.preemptions = std::move(chosen);
     return out;
   }
 };

@@ -19,8 +19,9 @@ void NodeState::release(JobId id) {
 }
 
 bool NodeState::satisfies(const JobSpec& spec) const {
-  if (!spec.node_type.empty() && spec.node_type != attrs.type) return false;
-  for (const std::string& f : spec.features) {
+  const std::string& type = spec.node_type();
+  if (!type.empty() && type != attrs.type) return false;
+  for (const std::string& f : spec.features()) {
     if (std::find(attrs.features.begin(), attrs.features.end(), f) ==
         attrs.features.end())
       return false;

@@ -151,12 +151,12 @@ void Server::on_request(sim::Payload request, sim::Endpoint from,
   });
 }
 
-void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
+void Server::handle_submit(SubmitRequest req, sim::Endpoint from,
                            uint64_t rpc_id) {
   // A job-array request expands into `count` sub-jobs with consecutive ids
   // and FIFO ranks. Expansion happens here, inside the ordered command, so
   // every replica derives the identical sub-job set from one submit.
-  uint32_t count = req.spec.array_count > 1 ? req.spec.array_count : 1;
+  uint32_t count = req.spec.submit_count();
   if (count > config_.max_array_size) {
     respond(from, rpc_id,
             encode_response(SubmitResponse{Status::kUnsupported, kInvalidJob,
@@ -179,14 +179,22 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
     base = next_job_id_;
     next_job_id_ += count;
   }
+  // Sub-jobs keep only their index; the array's spec is stored once, and a
+  // record whose spec equals that of the job just below it shares that one
+  // (a replayed array member joins its array's spec).
+  int32_t index = count > 1 ? 0 : req.spec.array_index;
+  req.spec.array_index = -1;
+  std::shared_ptr<const JobSpec> spec;
+  auto below = jobs_.lower_bound(base);
+  if (below != jobs_.begin() && *std::prev(below)->second.spec == req.spec)
+    spec = std::prev(below)->second.spec;
+  else
+    spec = std::make_shared<const JobSpec>(std::move(req.spec));
   for (uint32_t i = 0; i < count; ++i) {
     Job job;
     job.id = base + i;
-    job.spec = req.spec;
-    if (count > 1) {
-      job.spec.array_index = static_cast<int32_t>(i);
-      job.spec.name = req.spec.name + "[" + std::to_string(i) + "]";
-    }
+    job.spec = spec;
+    if (index >= 0) job.array_index = index + static_cast<int32_t>(i);
     job.state = JobState::kQueued;
     job.submit_time = sim().now();
     job.queue_rank = next_rank_++;
@@ -197,7 +205,7 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
   if (count > 1) m_array_expansions_.add(count);
   persist();
   JLOG(kDebug, "pbs") << name() << ": queued job " << base << " ("
-                      << req.spec.name << (count > 1 ? ", array" : "") << ")";
+                      << spec->name << (count > 1 ? ", array" : "") << ")";
   respond(from, rpc_id,
           encode_response(SubmitResponse{Status::kOk, base, count}));
   request_sched_cycle();
@@ -205,22 +213,28 @@ void Server::handle_submit(const SubmitRequest& req, sim::Endpoint from,
 
 void Server::handle_stat(const StatRequest& req, sim::Endpoint from,
                          uint64_t rpc_id) {
-  StatResponse resp;
+  // Encoded straight from the table: a whole-queue listing copies no record.
   if (req.job_id != kInvalidJob) {
     auto it = jobs_.find(req.job_id);
     if (it == jobs_.end()) {
-      resp.status = Status::kUnknownJob;
-    } else {
-      resp.jobs.push_back(it->second);
+      respond(from, rpc_id,
+              encode_response(StatResponse{Status::kUnknownJob, {}}));
+      return;
     }
-  } else {
-    for (const auto& [id, job] : jobs_) {
-      (void)id;
-      if (!req.include_complete && job.terminal()) continue;
-      resp.jobs.push_back(job);
-    }
+    StatWriter out(Status::kOk, 1);
+    out.add(it->second);
+    respond(from, rpc_id, out.finish());
+    return;
   }
-  respond(from, rpc_id, encode_response(resp));
+  auto listed = [&req](const Job& job) {
+    return req.include_complete || !job.terminal();
+  };
+  uint32_t n = 0;
+  for (const auto& entry : jobs_) n += listed(entry.second) ? 1 : 0;
+  StatWriter out(Status::kOk, n);
+  for (const auto& entry : jobs_)
+    if (listed(entry.second)) out.add(entry.second);
+  respond(from, rpc_id, out.finish());
 }
 
 void Server::handle_delete(const DeleteRequest& req, sim::Endpoint from,
@@ -747,8 +761,9 @@ void Server::apply_state(const sim::Payload& state) {
   jobs_.clear();
   preempt_inflight_.clear();
   for (NodeState& node : nodes_) node.running.clear();
+  const Job* prev = nullptr;
   for (uint32_t i = 0; i < n; ++i) {
-    Job job = decode_job(r);
+    Job job = decode_job(r, prev);
     // Jobs that were running when the state was captured lost their parent
     // server: they restart from the queue (Section 2: applications have to
     // be restarted after an active/standby failover).
@@ -757,7 +772,7 @@ void Server::apply_state(const sim::Payload& state) {
       job.exec_host = sim::kInvalidHost;
       job.replica_hosts.clear();
     }
-    jobs_.emplace(job.id, std::move(job));
+    prev = &jobs_.emplace(job.id, std::move(job)).first->second;
   }
   r.expect_done();
 }
@@ -801,11 +816,12 @@ void Server::recover() {
 }
 
 void Server::preload_queued(uint64_t count, const JobSpec& spec) {
+  auto shared = std::make_shared<const JobSpec>(spec);
   auto hint = jobs_.end();
   for (uint64_t i = 0; i < count; ++i) {
     Job job;
     job.id = next_job_id_++;
-    job.spec = spec;
+    job.spec = shared;
     job.state = JobState::kQueued;
     job.submit_time = sim().now();
     job.queue_rank = next_rank_++;

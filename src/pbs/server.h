@@ -183,7 +183,7 @@ class Server : public net::RpcNode {
   void on_restart() override;
 
  private:
-  void handle_submit(const SubmitRequest& req, sim::Endpoint from,
+  void handle_submit(SubmitRequest req, sim::Endpoint from,
                      uint64_t rpc_id);
   void handle_stat(const StatRequest& req, sim::Endpoint from,
                    uint64_t rpc_id);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "net/rpc.h"
 #include "testutil.h"
 
@@ -113,6 +116,70 @@ TEST(Federation, JstatAllMergesShardsSortedById) {
   EXPECT_EQ(all->jobs[1].id, debug_id);
   EXPECT_EQ(router.stats().fanouts.own(), 1u);
   EXPECT_EQ(router.stats().fanout_reads.own(), 2u);
+}
+
+// The merge appends the shards' sorted parts in shard order, so it must
+// not depend on the order the replies arrive in. Busy CPUs make shard 0's
+// heads answer last and shard 2's first; the listing still comes back
+// complete, with ascending ids and no duplicates.
+TEST(Federation, JstatAllMergesRepliesArrivingInReverseShardOrder) {
+  fed::FederationOptions options = fast_fed(3, 2, 1);
+  options.queue_globs = {{"a*"}, {"b*"}, {"*"}};
+  fed::Federation f(std::move(options));
+  f.start();
+  ASSERT_TRUE(f.run_until_converged());
+  fed::Router& router = f.make_router();
+
+  std::set<pbs::JobId> submitted;
+  auto submit = [&](const std::string& queue, uint32_t count) {
+    pbs::JobSpec spec = queued_job(queue);
+    spec.array_count = count;
+    pbs::JobId base = jsub_sync(f, router, spec);
+    ASSERT_NE(base, pbs::kInvalidJob);
+    for (uint32_t i = 0; i < std::max(count, 1u); ++i)
+      submitted.insert(base + i);
+  };
+  submit("c", 3);  // shard 2 first: submission order is not id order
+  submit("b", 0);
+  submit("a", 5);
+  submit("b", 0);
+  ASSERT_EQ(submitted.size(), 10u);
+
+  // Shard s's heads answer after (2 - s) * 10 ms of queued CPU work.
+  auto load_heads = [&] {
+    for (size_t h = 0; h < f.head_count(); ++h) {
+      sim::Duration busy = sim::msec(10 * (2 - f.shard_of_head(h)));
+      f.net().host(f.head_hosts()[h]).execute(busy, [] {});
+    }
+  };
+  load_heads();
+  std::vector<uint32_t> arrivals;
+  for (uint32_t s = 0; s < 3; ++s)
+    router.client(s).jstat(pbs::StatRequest{},
+                           [&, s](std::optional<pbs::StatResponse> r) {
+                             if (r) arrivals.push_back(s);
+                           });
+  testutil::run_until(f.sim(), [&] { return arrivals.size() == 3; },
+                      sim::seconds(60));
+  ASSERT_EQ(arrivals, (std::vector<uint32_t>{2, 1, 0}))
+      << "the loaded heads must reply in reverse shard order";
+
+  load_heads();
+  std::optional<pbs::StatResponse> all;
+  bool done = false;
+  router.jstat(pbs::StatRequest{}, [&](std::optional<pbs::StatResponse> r) {
+    done = true;
+    all = std::move(r);
+  });
+  testutil::run_until(f.sim(), [&] { return done; }, sim::seconds(60));
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(all->status, pbs::Status::kOk);
+  std::vector<pbs::JobId> ids;
+  for (const pbs::Job& job : all->jobs) ids.push_back(job.id);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "no duplicates";
+  EXPECT_EQ(std::set<pbs::JobId>(ids.begin(), ids.end()), submitted);
 }
 
 TEST(Federation, MassDeleteSpansShards) {

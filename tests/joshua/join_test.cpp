@@ -8,6 +8,16 @@ namespace {
 
 using namespace joshuatest;
 
+/// The spec a record carries on the wire (name, index and count included).
+pbs::JobSpec wire_spec(const pbs::Job& job) {
+  net::Writer w;
+  pbs::encode_job(w, job);
+  sim::Payload buf = w.take();
+  net::Reader r(buf);
+  r.u64();  // job id
+  return pbs::decode_job_spec(r);
+}
+
 class JoinTest : public ::testing::TestWithParam<joshua::TransferMode> {};
 
 TEST_P(JoinTest, JoinerInheritsQueueState) {
@@ -88,6 +98,71 @@ TEST_P(JoinTest, CrashedHeadRejoinsAndRecoversState) {
   EXPECT_NE(next, pbs::kInvalidJob);
   cluster.sim().run_for(sim::seconds(2));
   EXPECT_TRUE(heads_consistent(cluster));
+}
+
+// A live sub-job's record is the same however a head came by it: expanded
+// from the array submit at the donor, rebuilt at the joiner from the replay
+// rewrite of a partially finished array or from a snapshot, or decoded from
+// a listing.
+TEST_P(JoinTest, ArraySubJobRecordsMatchDonor) {
+  joshua::ClusterOptions options = fast_options(2, 1);
+  options.transfer = GetParam();
+  joshua::Cluster cluster(options);
+  cluster.joshua_server(0).start();
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] {
+    return cluster.joshua_server(0).in_service();
+  }));
+  joshua::Client& client = cluster.make_jclient();
+  pbs::JobSpec spec = quick_job(sim::seconds(600));
+  spec.name = "arr";
+  spec.array_count = 4;
+  pbs::JobId base = jsub_sync(cluster, client, spec);
+  ASSERT_NE(base, pbs::kInvalidJob);
+  // Two finished sub-jobs make the replay log rewrite the array.
+  for (pbs::JobId id : {base + 1, base + 3}) {
+    bool deleted = false;
+    client.jdel(id, [&](std::optional<pbs::SimpleResponse> r) {
+      deleted = r.has_value() && r->status == pbs::Status::kOk;
+    });
+    ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] { return deleted; }));
+  }
+
+  cluster.joshua_server(1).start();
+  ASSERT_TRUE(cluster.run_until_converged());
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] {
+    return !cluster.joshua_server(1).replaying() &&
+           cluster.pbs_server(1).find_job(base + 2).has_value();
+  }, sim::seconds(60)));
+
+  std::optional<pbs::StatResponse> listing;
+  client.jstat(pbs::StatRequest{}, [&](std::optional<pbs::StatResponse> r) {
+    listing = std::move(r);
+  });
+  ASSERT_TRUE(testutil::run_until(cluster.sim(), [&] {
+    return listing.has_value();
+  }));
+  auto listed = [&](pbs::JobId id) -> std::optional<pbs::Job> {
+    for (const pbs::Job& job : listing->jobs)
+      if (job.id == id) return job;
+    return std::nullopt;
+  };
+
+  for (pbs::JobId id : {base, base + 2}) {
+    int32_t index = static_cast<int32_t>(id - base);
+    std::optional<pbs::Job> records[] = {cluster.pbs_server(0).find_job(id),
+                                         cluster.pbs_server(1).find_job(id),
+                                         listed(id)};
+    for (const std::optional<pbs::Job>& job : records) {
+      ASSERT_TRUE(job.has_value()) << "sub-job " << index;
+      pbs::JobSpec s = wire_spec(*job);
+      EXPECT_EQ(s.name, "arr[" + std::to_string(index) + "]");
+      EXPECT_EQ(s.array_index, index);
+      EXPECT_EQ(s.array_count, 4u) << "sub-job " << index;
+    }
+  }
+  // Both transfers rebuild the live sub-jobs around one shared spec.
+  EXPECT_EQ(cluster.pbs_server(1).find_job(base)->spec,
+            cluster.pbs_server(1).find_job(base + 2)->spec);
 }
 
 INSTANTIATE_TEST_SUITE_P(

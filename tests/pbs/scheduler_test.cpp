@@ -9,14 +9,30 @@ namespace {
 
 using namespace pbs;
 
+/// Gives `j` a spec of its own and returns it for changing.
+JobSpec& own_spec(Job& j) {
+  auto spec = std::make_shared<JobSpec>(*j.spec);
+  j.spec = spec;
+  return *spec;
+}
+
+std::shared_ptr<const JobExtras> node_request(
+    std::string type, std::vector<std::string> features = {}) {
+  JobExtras extras;
+  extras.node_type = std::move(type);
+  extras.features = std::move(features);
+  return std::make_shared<const JobExtras>(std::move(extras));
+}
+
 Job make_job(JobId id, uint64_t rank, uint32_t nodes = 1,
              JobState state = JobState::kQueued,
              sim::Duration walltime = sim::minutes(10)) {
   Job j;
   j.id = id;
   j.queue_rank = rank;
-  j.spec.nodes = nodes;
-  j.spec.walltime = walltime;
+  JobSpec& spec = own_spec(j);
+  spec.nodes = nodes;
+  spec.walltime = walltime;
   j.state = state;
   return j;
 }
@@ -109,7 +125,7 @@ TEST(SchedulerFifo, DownNodesNotAllocated) {
   auto nodes = make_nodes(2);
   nodes[0].up = false;
   EXPECT_TRUE(sched.cycle(jobs, nodes, sim::Time{0}).launches.empty());
-  jobs[1].spec.nodes = 1;
+  own_spec(jobs[1]).nodes = 1;
   auto decisions = sched.cycle(jobs, nodes, sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].nodes[0], 1u) << "only the up node";
@@ -237,23 +253,23 @@ TEST(SchedulerBackfill, BackfillNeverDelaysShadowProperty) {
     for (const auto& [jid, job] : jobs) {
       (void)jid;
       if (job.state != JobState::kRunning) continue;
-      sim::Time release = job.start_time + job.spec.walltime;
+      sim::Time release = job.start_time + job.spec->walltime;
       if (release < now) release = now;
-      releases.emplace_back(release, job.spec.nodes);
+      releases.emplace_back(release, job.spec->nodes);
     }
     std::sort(releases.begin(), releases.end());
     size_t avail = free_now;
     sim::Time shadow = sim::kTimeInfinity;
     for (const auto& [when, cnt] : releases) {
       avail += cnt;
-      if (avail >= jobs[blocked_id].spec.nodes) {
+      if (avail >= jobs[blocked_id].spec->nodes) {
         shadow = when;
         break;
       }
     }
     size_t spare =
-        avail >= jobs[blocked_id].spec.nodes
-            ? avail - jobs[blocked_id].spec.nodes
+        avail >= jobs[blocked_id].spec->nodes
+            ? avail - jobs[blocked_id].spec->nodes
             : 0;
 
     Scheduler sched(cfg("backfill", false));
@@ -262,8 +278,8 @@ TEST(SchedulerBackfill, BackfillNeverDelaysShadowProperty) {
     for (const auto& d : result.launches) {
       if (d.job == blocked_id) continue;  // head launched: nothing blocked
       const Job& j = jobs[d.job];
-      bool before_shadow = now + j.spec.walltime <= shadow;
-      if (!before_shadow) spare_used += j.spec.nodes;
+      bool before_shadow = now + j.spec->walltime <= shadow;
+      if (!before_shadow) spare_used += j.spec->nodes;
     }
     EXPECT_LE(spare_used, spare)
         << "trial " << trial
@@ -278,7 +294,7 @@ TEST(SchedulerPriority, HighPrioritySubmittedLaterLaunchesFirst) {
   std::map<JobId, Job> jobs;
   jobs[1] = make_job(1, 1);  // priority 0, earlier
   jobs[2] = make_job(2, 2);
-  jobs[2].spec.priority = 10;  // later but urgent
+  own_spec(jobs[2]).priority = 10;  // later but urgent
   auto decisions = sched.cycle(jobs, make_nodes(1), sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].job, 2u) << "priority 10 beats priority 0";
@@ -289,8 +305,8 @@ TEST(SchedulerPriority, EqualPriorityFallsBackToFifo) {
   std::map<JobId, Job> jobs;
   jobs[7] = make_job(7, 1);
   jobs[3] = make_job(3, 2);
-  jobs[7].spec.priority = 5;
-  jobs[3].spec.priority = 5;
+  own_spec(jobs[7]).priority = 5;
+  own_spec(jobs[3]).priority = 5;
   auto decisions = sched.cycle(jobs, make_nodes(1), sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].job, 7u) << "rank breaks the priority tie";
@@ -304,7 +320,7 @@ TEST(SchedulerPriority, AgingLiftsStarvedJobs) {
   jobs[1] = make_job(1, 1);  // priority 0, submitted at t=0
   jobs[1].submit_time = sim::Time{0};
   jobs[2] = make_job(2, 2);
-  jobs[2].spec.priority = 5;
+  own_spec(jobs[2]).priority = 5;
   jobs[2].submit_time = sim::Time{sim::seconds(60).us};
   // At t=60s job 1 has aged +6: effective 6 > 5.
   auto decisions =
@@ -324,7 +340,7 @@ TEST(SchedulerPreempt, LowPriorityVictimRequeuedForUrgentJob) {
     jobs[v] = r;
   }
   jobs[3] = make_job(3, 3, 2);
-  jobs[3].spec.priority = 10;
+  own_spec(jobs[3]).priority = 10;
   auto nodes = make_nodes(2);
   nodes[0].assign(1);
   nodes[1].assign(2);
@@ -344,7 +360,7 @@ TEST(SchedulerPreempt, AllOrNothingWhenGainInsufficient) {
   Job r = make_job(1, 1, 1, JobState::kRunning);
   jobs[1] = r;
   jobs[2] = make_job(2, 2, 3);
-  jobs[2].spec.priority = 10;
+  own_spec(jobs[2]).priority = 10;
   auto nodes = make_nodes(3);
   nodes[0].assign(1);
   nodes[2].up = false;
@@ -357,10 +373,10 @@ TEST(SchedulerPreempt, EqualPriorityNeverPreempted) {
   Scheduler sched(cfg("preempt", false));
   std::map<JobId, Job> jobs;
   Job r = make_job(1, 1, 1, JobState::kRunning);
-  r.spec.priority = 5;
+  own_spec(r).priority = 5;
   jobs[1] = r;
   jobs[2] = make_job(2, 2, 1);
-  jobs[2].spec.priority = 5;
+  own_spec(jobs[2]).priority = 5;
   auto nodes = make_nodes(1);
   nodes[0].assign(1);
   auto result = sched.cycle(jobs, nodes, sim::Time{0});
@@ -373,7 +389,7 @@ TEST(SchedulerPreempt, ExclusiveClusterPreemptsWholeOccupancy) {
   Job r = make_job(1, 1, 2, JobState::kRunning);
   jobs[1] = r;
   jobs[2] = make_job(2, 2, 1);
-  jobs[2].spec.priority = 3;
+  own_spec(jobs[2]).priority = 3;
   auto nodes = make_nodes(2);
   nodes[0].assign(1);
   nodes[1].assign(1);
@@ -423,7 +439,7 @@ TEST(SchedulerSelector, BackfillPacksAroundReplicas) {
   Scheduler sched(cfg("backfill", false, "replica"));
   std::map<JobId, Job> jobs;
   jobs[1] = make_job(1, 1, 2);
-  jobs[1].spec.replicas = 2;
+  own_spec(jobs[1]).replicas = 2;
   jobs[2] = make_job(2, 2, 2);
   auto decisions = sched.cycle(jobs, make_nodes(6), sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 2u);
@@ -441,7 +457,7 @@ TEST(SchedulerHetero, NodeTypeRequestFiltersPlacement) {
   nodes[1].attrs.type = "gpu";
   std::map<JobId, Job> jobs;
   jobs[1] = make_job(1, 1, 1);
-  jobs[1].spec.node_type = "gpu";
+  own_spec(jobs[1]).extras = node_request("gpu");
   auto decisions = sched.cycle(jobs, nodes, sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].nodes, (std::vector<sim::HostId>{1}));
@@ -454,12 +470,12 @@ TEST(SchedulerHetero, FeatureRequestsAreConjunctive) {
   nodes[2].attrs.features = {"gpu", "bigmem"};
   std::map<JobId, Job> jobs;
   jobs[1] = make_job(1, 1, 1);
-  jobs[1].spec.features = {"gpu", "bigmem"};
+  own_spec(jobs[1]).extras = node_request("", {"gpu", "bigmem"});
   auto decisions = sched.cycle(jobs, nodes, sim::Time{0}).launches;
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].nodes, (std::vector<sim::HostId>{2}));
   // No node has both features + a missing one: nothing launches.
-  jobs[1].spec.features = {"gpu", "bigmem", "nvme"};
+  own_spec(jobs[1]).extras = node_request("", {"gpu", "bigmem", "nvme"});
   EXPECT_TRUE(sched.cycle(jobs, nodes, sim::Time{0}).launches.empty());
 }
 
@@ -487,7 +503,7 @@ TEST(SchedulerDeterminism, SameInputsSameDecisions) {
       std::map<JobId, Job> jobs;
       for (JobId id = 1; id <= 20; ++id) {
         jobs[id] = make_job(id, id, static_cast<uint32_t>(1 + id % 3));
-        jobs[id].spec.priority = static_cast<int32_t>(id % 4);
+        own_spec(jobs[id]).priority = static_cast<int32_t>(id % 4);
       }
       auto nodes = make_nodes(6);
       auto d1 = sched.cycle(jobs, nodes, sim::Time{12345});

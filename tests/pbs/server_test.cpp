@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "pbs/pbs_harness.h"
 
 namespace {
@@ -249,10 +255,80 @@ TEST(PbsServer, ArraySubmitExpandsToSubJobs) {
   for (uint32_t i = 0; i < 3; ++i) {
     auto job = h.server->find_job(resp->job_id + i);
     ASSERT_TRUE(job.has_value()) << "sub-job " << i;
-    EXPECT_EQ(job->spec.name, "arr[" + std::to_string(i) + "]");
-    EXPECT_EQ(job->spec.array_index, static_cast<int32_t>(i));
+    EXPECT_EQ(job->name(), "arr[" + std::to_string(i) + "]");
+    EXPECT_EQ(job->array_index, static_cast<int32_t>(i));
     EXPECT_TRUE(h.wait_state(job->id, JobState::kComplete, sim::seconds(60)));
   }
+}
+
+size_t spec_objects(const std::map<JobId, Job>& table) {
+  std::set<const JobSpec*> specs;
+  for (const auto& [id, job] : table) specs.insert(job.spec.get());
+  return specs.size();
+}
+
+size_t spec_objects(const std::vector<Job>& jobs) {
+  std::set<const JobSpec*> specs;
+  for (const Job& job : jobs) specs.insert(job.spec.get());
+  return specs.size();
+}
+
+// Every head holds every record, so a record's size is paid once per head:
+// the sub-jobs of an array keep only their index and share the array's one
+// spec, whether the server expanded the submit, installed a snapshot, or a
+// client decoded a listing.
+TEST(PbsServer, ArraySubJobsShareOneSpec) {
+  auto no_persist = [](ServerConfig& cfg) { cfg.persist = false; };
+  PbsHarness h(0, 1, no_persist);
+  JobSpec spec = h.quick_job();
+  spec.name = "big";
+  spec.array_count = 4096;
+  JobId base = h.submit(h.make_client(), spec);
+  ASSERT_NE(base, kInvalidJob);
+  ASSERT_EQ(h.server->jobs().size(), 4096u);
+  EXPECT_EQ(spec_objects(h.server->jobs()), 1u) << "after the array submit";
+  EXPECT_EQ(h.server->find_job(base + 7)->name(), "big[7]");
+
+  PbsHarness copy(0, 1, no_persist);
+  copy.server->load_state_blob(h.server->dump_state_blob());
+  ASSERT_EQ(copy.server->jobs().size(), 4096u);
+  EXPECT_EQ(spec_objects(copy.server->jobs()), 1u) << "after a snapshot install";
+
+  std::optional<StatResponse> listing;
+  h.make_client().qstat(StatRequest{}, [&](auto r) { listing = r; });
+  testutil::run_until(h.sim, [&] { return listing.has_value(); });
+  ASSERT_EQ(listing->jobs.size(), 4096u);
+  EXPECT_EQ(spec_objects(listing->jobs), 1u) << "after a decoded listing";
+  EXPECT_EQ(listing->jobs.back().name(), "big[4095]");
+}
+
+TEST(PbsJobLayout, RecordIsCompact) {
+  // id, spec pointer, three times, rank, replica list and the small fields.
+  EXPECT_LE(sizeof(Job), 104u);
+}
+
+// A plain job owns its spec; the record plus that spec must cost no more
+// heap than a record that held the whole spec inline: a 312 B Job in a
+// std::map node, 368 B of glibc heap.
+TEST(PbsJobLayout, PlainJobHeapNoLargerThanInlineSpec) {
+#if defined(__GLIBC__)
+  constexpr size_t kInlineSpecRecordBytes = 368;
+  constexpr JobId kRecords = 1024;
+  JobSpec spec;
+  spec.name = "t";
+  size_t before = mallinfo2().uordblks;
+  std::map<JobId, Job> table;
+  for (JobId id = 1; id <= kRecords; ++id) {
+    Job job;
+    job.id = id;
+    job.spec = std::make_shared<const JobSpec>(spec);
+    table.emplace(id, std::move(job));
+  }
+  size_t per_record = (mallinfo2().uordblks - before) / kRecords;
+  EXPECT_LE(per_record, kInlineSpecRecordBytes);
+#else
+  GTEST_SKIP() << "measures the heap with glibc's mallinfo2";
+#endif
 }
 
 // End-to-end preemption with the quiet kill: the victim is requeued for an
